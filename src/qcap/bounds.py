@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -146,10 +144,17 @@ def classical_add_upper(c1_of_n, n: int, p, log2d) -> Fraction:
 
 
 def _branches(params: BoundParams, k: int) -> list[tuple[Fraction, str]]:
+    """The k-use totals that can win, with their labels, in tie-break order.
+
+    Sending i of the k uses through the erasure branch is bounded by
+    2n(k-i) + i(1-p)log2d, which is linear in i and equals the classical
+    route at i = 0. So over 0 <= i < k its maximum lies at i = 0 or at
+    i = k-1, and no split in between can win outright.
+    """
     n, p, log2d = params.n, params.p, params.log2d
     out: list[tuple[Fraction, str]] = [(Fraction(2 * k * n), "classical")]
-    for i in range(1, k):
-        out.append((2 * n * (k - i) + i * (1 - p) * log2d, f"mixed(i={i})"))
+    if k > 1:
+        out.append((2 * n + (k - 1) * (1 - p) * log2d, f"mixed(i={k - 1})"))
     out.append(((1 - 2 * p) * k * log2d, "erasure"))
     return out
 
@@ -161,14 +166,11 @@ def p1_upper(params: BoundParams, k: int) -> tuple[Fraction, str]:
     through its classical capacity, at most 2 bits per rocket) and the
     erasure branch (bounded by its private capacity); crossing splits pay
     the classical additivity bound. The result is (1/k) times the largest
-    branch, with the label of the branch that attains it.
+    branch, with the label of the first branch that attains it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    best_val, best_label = None, None
-    for val, label in _branches(params, k):
-        if best_val is None or val > best_val:
-            best_val, best_label = val, label
+    best_val, best_label = max(_branches(params, k), key=lambda branch: branch[0])
     return best_val / k, best_label
 
 

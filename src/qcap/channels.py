@@ -18,7 +18,6 @@ import numpy as np
 
 from .qcore import (
     DensityOperator,
-    PureState,
     SystemLayout,
     check_dim,
     layout_of,
@@ -149,14 +148,6 @@ def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
         )
     t = ch.kraus @ rho.matrix  # (nk, out, in)
     out = np.einsum("kab,kcb->ac", t, ch.kraus.conj())
-    return DensityOperator(ch.out_layout, out, check_psd=False)
-
-
-def apply_pure(ch: QuantumChannel, psi: PureState | np.ndarray) -> DensityOperator:
-    """Channel action on a pure input, via the (n_kraus, out) image stack."""
-    v = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi)
-    b = ch.kraus @ v
-    out = np.einsum("km,kn->mn", b, b.conj())
     return DensityOperator(ch.out_layout, out, check_psd=False)
 
 

@@ -16,6 +16,8 @@ import os
 import sys
 from fractions import Fraction
 
+from . import fmt9
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_USAGE = 64
@@ -57,11 +59,7 @@ def _range_arg(text: str) -> tuple[int, int]:
 
 
 def _round9(x: float) -> float:
-    return float("%.9g" % float(x))
-
-
-def _fmt(x: float) -> str:
-    return "%.9g" % float(x)
+    return float(fmt9(x))
 
 
 def _emit_json(obj) -> None:
@@ -198,7 +196,7 @@ def _cmd_bounds(args) -> int:
         value = bounds.locking_upper(args.p, args.d)
         if args.format == "csv":
             sys.stdout.write("p,d,upper_bits\n")
-            sys.stdout.write(f"{args.p},{args.d},{_fmt(value)}\n")
+            sys.stdout.write(f"{args.p},{args.d},{fmt9(value)}\n")
         else:
             _emit_json(
                 {"p": str(args.p), "d": args.d, "value": _round9(value), "unit": "bits"}
@@ -267,7 +265,7 @@ def _cmd_sweep(args) -> int:
         lo, hi = args.d
         sys.stdout.write("p,d,upper_bits\n")
         for d in range(max(lo, 1), hi + 1):
-            sys.stdout.write(f"{args.p},{d},{_fmt(bounds.locking_upper(args.p, d))}\n")
+            sys.stdout.write(f"{args.p},{d},{fmt9(bounds.locking_upper(args.p, d))}\n")
         return EXIT_OK
 
     if args.n < 2:
@@ -289,6 +287,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    previous_cap = os.environ.get("QCAP_DIM_CAP")
     if args.dim_cap is not None:
         if args.dim_cap < 2:
             print("qcap: error: --dim-cap must be >= 2", file=sys.stderr)
@@ -315,6 +314,12 @@ def main(argv=None) -> int:
             print(f"qcap: error: {exc}", file=sys.stderr)
             return EXIT_DIM_CAP
         raise
+    finally:
+        # --dim-cap holds for this call only
+        if previous_cap is None:
+            os.environ.pop("QCAP_DIM_CAP", None)
+        else:
+            os.environ["QCAP_DIM_CAP"] = previous_cap
 
 
 if __name__ == "__main__":

@@ -36,29 +36,18 @@ class InfoResult:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    ensemble_size: int | None = None  # None: channel input dimension
     restarts: int = 32
     iterations: int = 600
     seed: int = 0
-    init_scale: float = 1.0
-    xatol: float = 1e-7
-    fatol: float = 1e-10
 
     def __post_init__(self):
-        if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be positive")
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("restarts and iterations must be positive")
-        if self.init_scale <= 0 or self.xatol <= 0 or self.fatol <= 0:
-            raise ValueError("step schedule parameters must be positive")
 
 
 def _entropy_with_residual(rho: DensityOperator) -> tuple[float, float]:
     w = np.linalg.eigvalsh(rho.matrix)
-    resid = abs(float(np.sum(w)) - 1.0)
-    lam = np.clip(w, 0.0, 1.0)
-    nz = lam[lam > 0.0]
-    return float(-np.sum(nz * np.log2(nz))), resid
+    return qcore.spectrum_entropy(w), abs(float(np.sum(w)) - 1.0)
 
 
 def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult:
@@ -120,26 +109,20 @@ def private_value(ch: QuantumChannel, ens: CqEnsemble) -> InfoResult:
 # brute-force ensemble searches
 
 
-def _entropy_vec(w: np.ndarray) -> float:
-    lam = np.clip(w, 0.0, 1.0)
-    nz = lam[lam > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
-
-
 class _EnsembleObjective:
     """Fast objective over pure-state ensembles.
 
-    Parameter vector: m*(2*din) reals for the state vectors followed by m
-    reals whose squares give the probability weights.
+    Parameter vector: m*(2*din) reals for the m = din state vectors
+    followed by m reals whose squares give the probability weights.
     """
 
-    def __init__(self, ch: QuantumChannel, m: int, want_private: bool):
+    def __init__(self, ch: QuantumChannel, want_private: bool):
         self.kraus = ch.kraus
         self.in_layout = ch.in_layout
         self.din = ch.in_dim
         self.dout = ch.out_dim
         self.nk = ch.n_kraus
-        self.m = m
+        self.m = ch.in_dim
         self.want_private = want_private
 
     def n_params(self) -> int:
@@ -169,15 +152,15 @@ class _EnsembleObjective:
         images = np.einsum("kab,xb->xka", self.kraus, vecs)
         bob = np.einsum("xka,xkb->xab", images, images.conj())
         avg_b = np.einsum("x,xab->ab", probs, bob)
-        ixb = _entropy_vec(np.linalg.eigvalsh(avg_b)) - float(
-            np.sum(probs * [_entropy_vec(np.linalg.eigvalsh(b)) for b in bob])
+        ixb = qcore.spectrum_entropy(np.linalg.eigvalsh(avg_b)) - float(
+            np.sum(probs * [qcore.spectrum_entropy(np.linalg.eigvalsh(b)) for b in bob])
         )
         if not self.want_private:
             return ixb
         eve = np.einsum("xka,xla->xkl", images, images.conj())
         avg_e = np.einsum("x,xkl->kl", probs, eve)
-        ixe = _entropy_vec(np.linalg.eigvalsh(avg_e)) - float(
-            np.sum(probs * [_entropy_vec(np.linalg.eigvalsh(e)) for e in eve])
+        ixe = qcore.spectrum_entropy(np.linalg.eigvalsh(avg_e)) - float(
+            np.sum(probs * [qcore.spectrum_entropy(np.linalg.eigvalsh(e)) for e in eve])
         )
         return ixb - ixe
 
@@ -218,38 +201,38 @@ def _structured_starts(ch: QuantumChannel, obj: _EnsembleObjective) -> list[np.n
     return starts
 
 
+def _multistart(obj, warm_starts: list[np.ndarray], cfg: OptimizerConfig):
+    """Maximize obj.value by adaptive Nelder-Mead from cfg.restarts starts:
+    the warm starts first, then standard-normal draws, restart r drawing
+    from stream r of SeedSequence(cfg.seed). Returns (best value, its
+    parameters); ties keep the earlier restart."""
+    neg = lambda t: -obj.value(t)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    best_val, best_theta = -np.inf, None
+    for r, stream in enumerate(streams):
+        if r < len(warm_starts):
+            x0 = warm_starts[r]
+        else:
+            x0 = np.random.default_rng(stream).standard_normal(obj.n_params())
+        res = minimize(
+            neg,
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": cfg.iterations, "xatol": 1e-7, "fatol": 1e-10, "adaptive": True},
+        )
+        val = -float(res.fun)
+        if val > best_val:
+            best_val, best_theta = val, res.x
+    return best_val, best_theta
+
+
 def _search(ch: QuantumChannel, cfg: OptimizerConfig, want_private: bool):
     if ch.in_dim > MAX_BRUTE_DIM:
         raise ValueError(
             f"brute-force search capped at input dim {MAX_BRUTE_DIM}, got {ch.in_dim}"
         )
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else ch.in_dim
-    obj = _EnsembleObjective(ch, m, want_private)
-    neg = lambda t: -obj.value(t)
-    root = np.random.SeedSequence(cfg.seed)
-    streams = root.spawn(cfg.restarts)
-    starts = _structured_starts(ch, obj)
-    best_val, best_theta = -np.inf, None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(streams[r])
-        if r < len(starts):
-            x0 = starts[r]
-        else:
-            x0 = cfg.init_scale * rng.standard_normal(obj.n_params())
-        res = minimize(
-            neg,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.iterations,
-                "xatol": cfg.xatol,
-                "fatol": cfg.fatol,
-                "adaptive": True,
-            },
-        )
-        val = -float(res.fun)
-        if val > best_val:
-            best_val, best_theta = val, res.x
+    obj = _EnsembleObjective(ch, want_private)
+    best_val, best_theta = _multistart(obj, _structured_starts(ch, obj), cfg)
     return best_val, obj.to_ensemble(best_theta)
 
 
@@ -274,13 +257,6 @@ class WitnessLayout:
     registers: tuple[tuple[str, int], ...]
     pinned_flags: tuple[int, ...]
     paired_rockets: int
-
-    def describe(self) -> str:
-        regs = ", ".join(f"{name}[{dim}]" for name, dim in self.registers)
-        return (
-            f"{len(self.pinned_flags)} uses, flags pinned {self.pinned_flags}, "
-            f"{self.paired_rockets} paired rocket(s); registers: {regs}"
-        )
 
 
 def witness_state(n: int, d: int, j: int) -> tuple[DensityOperator, WitnessLayout]:
@@ -410,10 +386,6 @@ def witness_coherent_info(
     )
 
 
-def witness_rate(n: int, p, d: int, j: int, ensemble: str = "pauli") -> float:
-    return witness_coherent_info(n, p, d, j, ensemble).diagnostics["rate_per_use"]
-
-
 # ---------------------------------------------------------------------------
 # subentropy and Haar-averaged measurement entropy
 
@@ -436,31 +408,18 @@ def gamma_d(d: int) -> float:
     return math.log(d) - math.fsum(1.0 / t for t in range(2, d + 1))
 
 
-def _subentropy_float(lam: list[float], dim: int) -> float:
-    q = 0.0
-    for k, lk in enumerate(lam):
-        if lk <= 0.0:
-            continue
-        denom = 1.0
-        for j, lj in enumerate(lam):
-            if j != k:
-                denom *= lk - lj
-        q -= (lk**dim / denom) * math.log2(lk)
-    return q
-
-
-def _subentropy_mp(lam, dim):
-    import mpmath as mp
-
-    q = mp.mpf(0)
+def _subentropy_sum(lam, dim: int, log2) -> float:
+    """-sum_k [lam_k^dim / prod_{j!=k}(lam_k - lam_j)] log2(lam_k) over the
+    positive lam_k, in the arithmetic of lam's entries and `log2`."""
+    q = 0
     for k, lk in enumerate(lam):
         if lk <= 0:
             continue
-        denom = mp.mpf(1)
+        denom = 1
         for j, lj in enumerate(lam):
             if j != k:
                 denom *= lk - lj
-        q -= (lk**dim / denom) * mp.log(lk) / mp.log(2)
+        q -= (lk**dim / denom) * log2(lk)
     return q
 
 
@@ -481,7 +440,7 @@ def subentropy(rho: DensityOperator) -> float:
         b - a < 1e-9 for a, b in zip(nonzero, nonzero[1:])
     )
     if not degenerate:
-        q = _subentropy_float(lam, dim)
+        q = _subentropy_sum(lam, dim, math.log2)
     else:
         import mpmath as mp
 
@@ -509,8 +468,9 @@ def subentropy(rho: DensityOperator) -> float:
                     i += 1
                 return out
 
-            q1 = _subentropy_mp(perturbed(eps), dim)
-            q2 = _subentropy_mp(perturbed(eps / 2), dim)
+            log2 = lambda x: mp.log(x) / mp.log(2)
+            q1 = _subentropy_sum(perturbed(eps), dim, log2)
+            q2 = _subentropy_sum(perturbed(eps / 2), dim, log2)
             if abs(q1 - q2) > 1e-5:
                 raise ArithmeticError(
                     f"subentropy perturbation did not converge: {q1} vs {q2}"
@@ -539,8 +499,7 @@ def haar_measured_entropy(
         u = qcore.haar_unitaries(d, chunk, rng)
         probs = np.einsum("sji,jk,ski->si", u.conj(), rho.matrix, u).real
         probs = np.clip(probs, 0.0, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(probs > 0.0, np.log2(probs, where=probs > 0.0), 0.0)
+        logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0.0)
         ent[done : done + chunk] = -np.sum(probs * logs, axis=1)
         done += chunk
     mean = float(np.mean(ent))
@@ -553,12 +512,12 @@ def haar_measured_entropy(
 
 
 class _PovmObjective:
-    """Mutual information over rank-one POVMs built from m free vectors
-    v_i via E_i = M^(-1/2) v_i v_i^dag M^(-1/2), M = sum v v^dag."""
+    """Mutual information over rank-one POVMs built from m = d^2 free
+    vectors v_i via E_i = M^(-1/2) v_i v_i^dag M^(-1/2), M = sum v v^dag."""
 
-    def __init__(self, ens: CqEnsemble, m: int):
+    def __init__(self, ens: CqEnsemble):
         self.d = ens.layout.total
-        self.m = m
+        self.m = self.d * self.d
         self.px = np.array([p for p, _ in ens.items])
         self.states = np.stack([rho.matrix for _, rho in ens.items])
 
@@ -586,8 +545,8 @@ class _PovmObjective:
         py = np.sum(joint, axis=0)
         return (
             qcore.shannon_entropy(self.px)
-            + _entropy_vec(py)
-            - _entropy_vec(joint.reshape(-1))
+            + qcore.spectrum_entropy(py)
+            - qcore.spectrum_entropy(joint.reshape(-1))
         )
 
     def povm(self, theta: np.ndarray) -> list[np.ndarray]:
@@ -603,37 +562,15 @@ def accessible_info_search(ens: CqEnsemble, cfg: OptimizerConfig = OptimizerConf
     d = ens.layout.total
     if d > MAX_ACCESS_DIM:
         raise ValueError(f"accessible-information search capped at dim {MAX_ACCESS_DIM}")
-    m = cfg.ensemble_size if cfg.ensemble_size is not None else d * d
-    obj = _PovmObjective(ens, m)
-    neg = lambda t: -obj.value(t)
-    root = np.random.SeedSequence(cfg.seed)
-    streams = root.spawn(cfg.restarts)
-    best_val, best_theta = -np.inf, None
+    obj = _PovmObjective(ens)
+    m = obj.m
+    # warm start: eigenbasis of the average state, duplicated at half
+    # weight to fill the m slots
     avg = sum(p * rho.matrix for p, rho in ens.items)
     _, eigvecs = np.linalg.eigh(avg)
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(streams[r])
-        if r == 0:
-            # warm start: eigenbasis of the average state, duplicated at
-            # half weight to fill the m slots
-            vecs = np.zeros((m, d), dtype=np.complex128)
-            for i in range(m):
-                vecs[i] = eigvecs[:, i % d] * (1.0 if i < d else 0.5)
-            x0 = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1)
-        else:
-            x0 = cfg.init_scale * rng.standard_normal(obj.n_params())
-        res = minimize(
-            neg,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.iterations,
-                "xatol": cfg.xatol,
-                "fatol": cfg.fatol,
-                "adaptive": True,
-            },
-        )
-        val = -float(res.fun)
-        if val > best_val:
-            best_val, best_theta = val, res.x
+    vecs = np.zeros((m, d), dtype=np.complex128)
+    for i in range(m):
+        vecs[i] = eigvecs[:, i % d] * (1.0 if i < d else 0.5)
+    warm = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1)
+    best_val, best_theta = _multistart(obj, [warm], cfg)
     return best_val, obj.povm(best_theta)

@@ -117,7 +117,7 @@ class PureState:
             )
         n = float(np.linalg.norm(v))
         if abs(n - 1.0) > 1e-10:
-            raise ValueError(f"squared norm deviates from 1 by {abs(n * n - 1.0):.3e}")
+            raise ValueError(f"norm deviates from 1 by {abs(n - 1.0):.3e}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
@@ -256,12 +256,9 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    w, _ = hermitian_eigh(m)
-    return w
-
-
-def _entropy_of_eigenvalues(w: np.ndarray) -> float:
+def spectrum_entropy(w) -> float:
+    """-sum(lam log2 lam) in bits of a spectrum or probability vector,
+    entries clipped to [0, 1]."""
     lam = np.clip(w, 0.0, 1.0)
     nz = lam[lam > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
@@ -272,7 +269,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     w = np.linalg.eigvalsh(rho.matrix)
     if w[0] < -TOL_EIG:
         raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -1e-9")
-    return _entropy_of_eigenvalues(w)
+    return spectrum_entropy(w)
 
 
 def shannon_entropy(p) -> float:
@@ -282,7 +279,7 @@ def shannon_entropy(p) -> float:
         raise ValueError("invalid distribution: negative entries")
     if abs(float(np.sum(q)) - 1.0) > 1e-9:
         raise ValueError(f"invalid distribution: sum {float(np.sum(q))!r}")
-    return _entropy_of_eigenvalues(q)
+    return spectrum_entropy(q)
 
 
 def purify(rho: DensityOperator) -> PureState:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, channels as qch, infoquant as iq, qcore
+from . import bounds, channels as qch, fmt9, infoquant as iq, qcore
 
 SUITE_NAMES = ("lemma1", "lemma2-appendix", "lemma3", "lower-bound")
 
@@ -36,10 +36,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _fmt(x: float) -> str:
-    return "%.9g" % float(x)
 
 
 def _child_seed(seed: int, tag: int) -> int:
@@ -77,7 +73,7 @@ def run_lemma1(seed: int) -> SuiteResult:
         Check(
             "pinned-ensemble-value",
             abs(v_pinned - target) <= 1e-9,
-            f"value={_fmt(v_pinned)} target={_fmt(target)} tol=1e-09",
+            f"value={fmt9(v_pinned)} target={fmt9(target)} tol=1e-09",
         )
     ]
 
@@ -87,7 +83,7 @@ def run_lemma1(seed: int) -> SuiteResult:
         Check(
             "optimized-private-value",
             abs(v_opt - target) <= 2e-2,
-            f"value={_fmt(v_opt)} target={_fmt(target)} tol=0.02",
+            f"value={fmt9(v_opt)} target={fmt9(target)} tol=0.02",
         )
     )
     mass = _flag_mass(ens, 0)
@@ -95,7 +91,7 @@ def run_lemma1(seed: int) -> SuiteResult:
         Check(
             "optimum-is-flag-pinned",
             mass >= 0.95,
-            f"weight on component 0 = {_fmt(mass)} (need >= 0.95)",
+            f"weight on component 0 = {fmt9(mass)} (need >= 0.95)",
         )
     )
     return SuiteResult("lemma1", tuple(checks))
@@ -111,7 +107,7 @@ def run_lemma2_appendix(seed: int, samples: int | None) -> SuiteResult:
         Check(
             "locking-value",
             abs(lock - 0.360674) <= 1e-6,
-            f"value={_fmt(lock)} target=0.360674 tol=1e-06",
+            f"value={fmt9(lock)} target=0.360674 tol=1e-06",
         )
     )
 
@@ -120,7 +116,7 @@ def run_lemma2_appendix(seed: int, samples: int | None) -> SuiteResult:
         Check(
             "gamma-2",
             abs(g2 - (math.log(2) - 0.5)) <= 1e-9,
-            f"value={_fmt(g2)} target={_fmt(math.log(2) - 0.5)} tol=1e-09",
+            f"value={fmt9(g2)} target={fmt9(math.log(2) - 0.5)} tol=1e-09",
         )
     )
     g1e4 = iq.gamma_d(10000)
@@ -128,7 +124,7 @@ def run_lemma2_appendix(seed: int, samples: int | None) -> SuiteResult:
         Check(
             "gamma-10000",
             abs(g1e4 - 0.422834) <= 1e-4,
-            f"value={_fmt(g1e4)} target=0.422834 tol=0.0001",
+            f"value={fmt9(g1e4)} target=0.422834 tol=0.0001",
         )
     )
 
@@ -159,7 +155,7 @@ def run_lemma2_appendix(seed: int, samples: int | None) -> SuiteResult:
         Check(
             "entropy-minus-subentropy-bound",
             violations == 0,
-            f"states={count} violations={violations} worst slack={_fmt(worst)}",
+            f"states={count} violations={violations} worst slack={fmt9(worst)}",
         )
     )
 
@@ -171,7 +167,7 @@ def run_lemma2_appendix(seed: int, samples: int | None) -> SuiteResult:
         Check(
             "haar-entropy-pure-qubit",
             ok,
-            f"mean={_fmt(mean)} target={_fmt(target)} se={_fmt(se)} (3 sigma)",
+            f"mean={fmt9(mean)} target={fmt9(target)} se={fmt9(se)} (3 sigma)",
         )
     )
 
@@ -181,7 +177,7 @@ def run_lemma2_appendix(seed: int, samples: int | None) -> SuiteResult:
         Check(
             "mean-entropy-constant",
             abs(mean1 - 1.0) <= 1e-12 and abs(ident - 1.0) <= 1e-12,
-            f"measured I/2 mean={_fmt(mean1)}; Q(I/2)+(H_2-1)log2(e)={_fmt(ident)}",
+            f"measured I/2 mean={fmt9(mean1)}; Q(I/2)+(H_2-1)log2(e)={fmt9(ident)}",
         )
     )
 
@@ -190,7 +186,7 @@ def run_lemma2_appendix(seed: int, samples: int | None) -> SuiteResult:
         "H_d log2(e); the exact d=2 identity above pins the constant",
         "gamma_d = ln d - sum_{t=2..d} 1/t grows toward 1 - EulerGamma = "
         "0.422784, not toward EulerGamma = 0.577216 (gamma_10000 = "
-        f"{_fmt(g1e4)})",
+        f"{fmt9(g1e4)})",
     )
     return SuiteResult("lemma2-appendix", tuple(checks), notes)
 
@@ -220,7 +216,7 @@ def run_lemma3(seed: int, samples: int | None) -> SuiteResult:
             Check(
                 "holevo-additive-bound",
                 violations == 0,
-                f"ensembles={count} violations={violations} worst slack={_fmt(worst)}",
+                f"ensembles={count} violations={violations} worst slack={fmt9(worst)}",
             ),
         ),
     )
@@ -236,7 +232,7 @@ def run_lower_bound(n: int, d: int, p, j: int) -> SuiteResult:
         Check(
             "witness-rate",
             abs(rate - closed) <= 1e-6,
-            f"n={n} d={d} p={p} uses={j}: rate={_fmt(rate)} closed form={_fmt(closed)} tol=1e-06",
+            f"n={n} d={d} p={p} uses={j}: rate={fmt9(rate)} closed form={fmt9(closed)} tol=1e-06",
         )
     ]
     exact_log2d = d.bit_length() - 1
@@ -246,7 +242,7 @@ def run_lower_bound(n: int, d: int, p, j: int) -> SuiteResult:
             Check(
                 "matches-rate-formula",
                 abs(rate - ql) <= 1e-6,
-                f"(j-1)(1-p)/j*log2d = {_fmt(ql)} vs simulated {_fmt(rate)}",
+                f"(j-1)(1-p)/j*log2d = {fmt9(ql)} vs simulated {fmt9(rate)}",
             )
         )
     return SuiteResult("lower-bound", tuple(checks))

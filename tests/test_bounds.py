@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcap.bounds import (
     BoundParams,
@@ -84,6 +86,59 @@ def test_p1_upper_branches():
     assert label == "classical" and val == 2 * half.n
     with pytest.raises(ValueError):
         p1_upper(SPEC_N2, 0)
+
+
+def _branches_by_loop(params, k):
+    """Every split of the k uses, i of them on the erasure branch."""
+    n, p, log2d = params.n, params.p, params.log2d
+    out = [(Fraction(2 * k * n), "classical")]
+    for i in range(1, k):
+        out.append((2 * n * (k - i) + i * (1 - p) * log2d, f"mixed(i={i})"))
+    out.append(((1 - 2 * p) * k * log2d, "erasure"))
+    return out
+
+
+def _p1_upper_by_loop(params, k):
+    best_val, best_label = None, None
+    for val, label in _branches_by_loop(params, k):
+        if best_val is None or val > best_val:  # the first strict maximum wins
+            best_val, best_label = val, label
+    return best_val / k, best_label
+
+
+def test_p1_upper_equals_loop_over_every_split():
+    ties = 0
+    for n in range(1, 7):
+        for num in range(1, 13):
+            p = Fraction(num, 24)
+            tie = 2 * n / (1 - p)  # (1-p) log2d == 2n: every mixed split ties
+            log2ds = (Fraction(1), Fraction(7, 3), tie, tie + Fraction(1, 97), Fraction(48 * n * n))
+            for log2d in log2ds:
+                params = BoundParams(n, p, log2d)
+                for k in range(1, 10):
+                    assert p1_upper(params, k) == _p1_upper_by_loop(params, k)
+                    ties += log2d == tie and k > 1
+    assert ties > 0
+
+
+def test_theorem_u2_equals_loop_over_every_split():
+    for n in range(2, 65):
+        report = theorem_report(n)
+        for row in report.rows:
+            branches = _branches_by_loop(report.params, row.k)
+            assert row.u2 == max(v for v, label in branches if label != "erasure") / row.k
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    p=st.fractions(0, Fraction(1, 2), max_denominator=48),
+    log2d=st.fractions(Fraction(1, 8), 64, max_denominator=24),
+    k=st.integers(1, 12),
+)
+def test_p1_upper_equals_loop_for_random_rationals(n, p, log2d, k):
+    params = BoundParams(n, p, log2d)
+    assert p1_upper(params, k) == _p1_upper_by_loop(params, k)
 
 
 def test_q_lower():

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from qcap import cli
+from qcap import cli, qcore
 
 
 def run(capsys, *argv):
@@ -142,6 +143,20 @@ def test_dim_cap_flag_overrides_environment(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["value"] == pytest.approx(
         0.5 * __import__("math").log2(20), rel=1e-6
     )
+
+
+def test_dim_cap_flag_does_not_leak_into_the_process(capsys, monkeypatch):
+    # setenv then delenv, so monkeypatch restores an absent variable
+    monkeypatch.setenv("QCAP_DIM_CAP", "50")
+    monkeypatch.delenv("QCAP_DIM_CAP")
+    code, _, _ = run(capsys, "--dim-cap", "100", "bounds", "theorem", "--n", "2")
+    assert code == 0
+    assert "QCAP_DIM_CAP" not in os.environ
+    assert qcore.dim_cap() == qcore.DEFAULT_DIM_CAP
+    monkeypatch.setenv("QCAP_DIM_CAP", "50")
+    code, _, _ = run(capsys, "--dim-cap", "100", "bounds", "theorem", "--n", "2")
+    assert code == 0
+    assert os.environ["QCAP_DIM_CAP"] == "50"
 
 
 def test_verify_lower_bound(capsys):

@@ -83,7 +83,7 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         iq.OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
-        iq.OptimizerConfig(ensemble_size=0)
+        iq.OptimizerConfig(iterations=0)
 
 
 def test_subentropy_values():

@@ -46,6 +46,13 @@ def test_pure_state_normalization_enforced():
         PureState(lay, np.array([1.0, 1.0]))
 
 
+def test_pure_state_error_reports_the_norm_deviation():
+    # the check tests |norm - 1|; a norm of 1.1 deviates by 0.1, not by
+    # the 0.21 of the squared norm
+    with pytest.raises(ValueError, match=r"^norm deviates from 1 by 1\.000e-01$"):
+        PureState(SystemLayout((2,)), np.array([1.1, 0.0]))
+
+
 def test_density_validation():
     lay = SystemLayout((2,))
     with pytest.raises(ValueError):
