@@ -4,6 +4,14 @@ switched rocket/erasure constructions, plus a JSON channel-spec format.
 A channel is an immutable bundle of Kraus operators stacked into one
 (n_kraus, out_dim, in_dim) array. The canonical complement is derived
 directly from the Kraus family: N_c(rho)[i,j] = Tr(K_i rho K_j^dag).
+
+`apply` never forms K rho K^dag operator by operator. It factors the input
+as rho = sum_j s_j a_j a_j^dag over its numerically nonzero eigenpairs
+(s_j = +-1), so the output is one matrix product W diag(s) W^dag of the
+images W = [K_k a_j] stacked side by side: the work scales with the rank
+of the input, and both products run in BLAS. The complement's output
+comes from the same kernel, since its Kraus operators are the rows of the
+K_k.
 """
 
 from __future__ import annotations
@@ -90,7 +98,8 @@ class QuantumChannel:
             raise ChannelSpecError(
                 f"{nk} kraus operators but env layout total {self.env_layout.total}"
             )
-        gram = np.einsum("kab,kac->bc", k.conj(), k)
+        flat = k.reshape(nk * dout, din)
+        gram = flat.conj().T @ flat
         if np.max(np.abs(gram - np.eye(din))) > TOL_CPTP:
             raise ChannelSpecError("not trace preserving")
         k = k.copy()
@@ -141,13 +150,28 @@ class CqEnsemble:
 
 
 def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Sum_k K rho K^dag on the channel's output layout."""
+    """Sum_k K_k rho K_k^dag on the channel's output layout.
+
+    rho = sum_j s_j a_j a_j^dag with a_j = sqrt|lam_j| v_j over the
+    eigenpairs above the matrix_rank cut (|lam| > max|lam| * in_dim * eps)
+    and s_j the sign of lam_j: the slightly negative eigenvalues that a
+    DensityOperator admits keep their sign, so the output trace stays
+    exact. The images W[m, (k, j)] = (K_k a_j)[m] form one
+    (out, n_kraus * rank) matrix and the output is W diag(s) W^dag.
+    """
     if rho.layout.total != ch.in_dim:
         raise ValueError(
             f"state dimension {rho.layout.total} does not match channel input {ch.in_dim}"
         )
-    t = ch.kraus @ rho.matrix  # (nk, out, in)
-    out = np.einsum("kab,kcb->ac", t, ch.kraus.conj())
+    lam, vecs = np.linalg.eigh(rho.matrix)
+    mag = np.abs(lam)
+    keep = mag > mag.max() * ch.in_dim * np.finfo(np.float64).eps
+    a = vecs[:, keep] * np.sqrt(mag[keep])
+    # one small GEMM per output row m over the strided view K[:, m, :]
+    w = np.matmul(ch.kraus.swapaxes(0, 1), a)  # (out, nk, rank)
+    ws = w.conj()
+    ws *= np.sign(lam[keep])
+    out = w.reshape(ch.out_dim, -1) @ ws.reshape(ch.out_dim, -1).T
     return DensityOperator(ch.out_layout, out, check_psd=False)
 
 

@@ -397,15 +397,32 @@ def harmonic(n: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
+# sum_{t=2..d} 1/t for the last d that gamma_d saw, held exactly as the
+# two-term fsum partials [lo, hi]: hi is the rounded sum, lo the remainder.
+_harmonic_tail = {"d": 1, "partials": [0.0, 0.0]}
+
+
 def gamma_d(d: int) -> float:
-    """ln d - sum_{t=2..d} 1/t.
+    """ln d - sum_{t=2..d} 1/t, the sum correctly rounded (math.fsum).
 
     Converges to 1 - euler_gamma ~ 0.4227843 as d grows (not to the Euler
-    constant itself, despite the resemblance of the definition).
+    constant itself, despite the resemblance of the definition). The sum
+    for the last d asked for is kept exactly, so calls with ascending d (a
+    locking sweep) cost O(1) per step; a smaller d restarts from t = 2.
     """
     if d < 1:
         raise ValueError(f"gamma_d needs d >= 1, got {d}")
-    return math.log(d) - math.fsum(1.0 / t for t in range(2, d + 1))
+    last, partials = _harmonic_tail["d"], _harmonic_tail["partials"]
+    if d < last:
+        last, partials = 1, []
+    terms = partials + [1.0 / t for t in range(last + 1, d + 1)]
+    hi = math.fsum(terms)
+    # The exact sum S and hi are multiples of ulp(1/d) and |S - hi| is at
+    # most ulp(hi) / 2, so S - hi has about log2(d) significant bits and
+    # fsum returns it exactly: [S - hi, hi] sums to S with no rounding.
+    terms.append(-hi)
+    _harmonic_tail.update(d=d, partials=[math.fsum(terms), hi])
+    return math.log(d) - hi
 
 
 def _subentropy_sum(lam, dim: int, log2) -> float:

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcap import qcore
 from qcap.channels import (
     ChannelSpecError,
     CqEnsemble,
+    QuantumChannel,
     apply,
     as_fraction,
     complementary,
@@ -29,6 +32,41 @@ from qcap.channels import (
 def _assert_cptp(ch):
     gram = np.einsum("kab,kac->bc", ch.kraus.conj(), ch.kraus)
     np.testing.assert_allclose(gram, np.eye(ch.in_dim), atol=1e-9)
+
+
+def _random_channel(rng, nk, dout, din):
+    """Kraus family cut from a Haar-like isometry C^din -> C^nk x C^dout."""
+    g = rng.standard_normal((nk * dout, din)) + 1j * rng.standard_normal((nk * dout, din))
+    iso, _ = np.linalg.qr(g)
+    return QuantumChannel((din,), (dout,), (nk,), iso.reshape(nk, dout, din))
+
+
+def _loop_apply(ch, m):
+    return sum(k @ m @ k.conj().T for k in ch.kraus)
+
+
+def _loop_complement(ch, m):
+    return np.array([[np.trace(ki @ m @ kj.conj().T) for kj in ch.kraus] for ki in ch.kraus])
+
+
+def _inputs(layout, rng):
+    """Pure, rank-deficient and full-rank states, and a Hermitian unit-trace
+    matrix with one eigenvalue at -5e-10, which DensityOperator admits."""
+    d = layout.total
+    states = [
+        qcore.random_pure(layout, rng).to_density(),
+        qcore.random_density(layout, rng, rank=max(1, d // 2)),
+        qcore.random_density(layout, rng),
+    ]
+    u = qcore.haar_unitaries(d, 1, rng)[0]
+    lam = rng.random(d)
+    lam[0] = 0.0
+    lam *= (1.0 + 5e-10) / lam.sum()
+    lam[0] = -5e-10
+    m = (u * lam) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    states.append(qcore.DensityOperator(layout, m))
+    return states
 
 
 def test_as_fraction_forms():
@@ -257,3 +295,40 @@ def test_parse_rejects_garbage():
     bad = json.dumps({"kind": "kraus", "matrices": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]})
     with pytest.raises(ChannelSpecError):
         parse_channel_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _random_channel(rng, 3, 4, 5),
+        lambda rng: _random_channel(rng, 7, 2, 6),
+        lambda rng: main_channel(1, Fraction(1, 4), 2),
+    ],
+    ids=["random-3x4x5", "random-7x2x6", "main-1-1/4-2"],
+)
+def test_apply_matches_kraus_loop(make):
+    rng = np.random.default_rng(11)
+    ch = make(rng)
+    comp = complementary(ch)
+    for rho in _inputs(ch.in_layout, rng):
+        np.testing.assert_allclose(
+            apply(ch, rho).matrix, _loop_apply(ch, rho.matrix), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            apply(comp, rho).matrix, _loop_complement(ch, rho.matrix), rtol=0, atol=1e-12
+        )
+
+
+@settings(max_examples=60, database=None, deadline=None)
+@given(
+    nk=st.integers(1, 5),
+    dout=st.integers(1, 5),
+    din=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_complement_of_random_channel_is_cptp(nk, dout, din, seed):
+    assume(nk * dout >= din)  # else no isometry C^din -> C^(nk dout)
+    ch = _random_channel(np.random.default_rng(seed), nk, dout, din)
+    comp = complementary(ch)  # the constructor itself rejects a non-CPTP stack
+    _assert_cptp(comp)
+    assert comp.out_dim == nk and comp.n_kraus == dout

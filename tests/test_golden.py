@@ -4,14 +4,19 @@ The files in tests/golden/ were recorded before the numeric lane's helpers
 were merged (one entropy, multi-start search, subentropy and formatting
 helper each) and pin its output: a change to the optimizer's path, a
 rounding or a formatting difference shows up here, where a run compared
-only with itself would not see it.
+only with itself would not see it. The `info coherent` file for the d=3
+switch was recorded before `channels.apply` became the rank-factored
+kernel.
 """
 
+import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qcap import cli
+from qcap import channels, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,3 +39,22 @@ def test_stdout_matches_golden(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_info_coherent_d3_switch_erasure_branch_matches_golden(tmp_path, capsys):
+    # main_channel(1, 1/4, 3) with the flag pinned to the erasure branch, the
+    # erasure data register maximally mixed and the pad in |0>:
+    # (1 - 2p) log2 3 = 0.79248125 bits
+    d = 3
+    chan = tmp_path / "channel.json"
+    chan.write_text(channels.serialize_channel_spec(channels.main_channel(1, Fraction(1, 4), d)))
+    matrix = [[[0.0, 0.0]] * (2 * d * d) for _ in range(2 * d * d)]
+    for i in range(d):
+        matrix[d * d + i * d][d * d + i * d] = [1 / d, 0.0]
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"layout": [2, d, d], "matrix": matrix}))
+    code = cli.main(["info", "coherent", "--channel", str(chan), "--state", str(state)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(0.5 * math.log2(3), abs=1e-8)
+    assert out.encode() == (GOLDEN / "info_coherent_main_n1_p1-4_d3_erasure.txt").read_bytes()

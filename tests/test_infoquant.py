@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 
 from qcap import infoquant as iq
 from qcap import qcore
-from qcap.channels import CqEnsemble, erasure_channel, switch_channel, tensor_channels
+from qcap.channels import (
+    CqEnsemble,
+    erasure_channel,
+    main_channel,
+    switch_channel,
+    tensor_channels,
+)
 from qcap.qcore import LOG2E, basis_state, max_mixed
 
 H = lambda p: -p * math.log2(p) - (1 - p) * math.log2(1 - p)
@@ -26,6 +33,15 @@ def test_coherent_information_erasure_closed_form():
         assert res.value == pytest.approx(
             res.components["H(B)"] - res.components["H(E)"], abs=1e-12
         )
+
+
+def test_coherent_information_pure_input_d3_switch():
+    # a pure input leaves Bob and Eve with equal entropies
+    ch = main_channel(1, Fraction(1, 4), 3)
+    rho = qcore.random_pure(ch.in_layout, np.random.default_rng(3)).to_density()
+    res = iq.coherent_information(ch, rho)
+    assert res.components["H(B)"] > 1.0
+    assert abs(res.components["H(B)"] - res.components["H(E)"]) < 1e-12
 
 
 def test_coherent_information_components():
@@ -134,6 +150,16 @@ def test_harmonic_and_gamma():
     assert iq.gamma_d(10000) == pytest.approx(1 - np.euler_gamma, abs=1e-4)
     with pytest.raises(ValueError):
         iq.gamma_d(0)
+
+
+def test_gamma_d_is_bit_identical_in_any_call_order():
+    # gamma_d keeps the sum of its last call; the value must not depend on it
+    ds = range(1, 5001)
+    expect = {d: math.log(d) - math.fsum(1.0 / t for t in range(2, d + 1)) for d in ds}
+    shuffled = list(ds)
+    random.Random(5).shuffle(shuffled)
+    for order in (list(ds), list(reversed(ds)), shuffled):
+        assert [d for d in order if iq.gamma_d(d) != expect[d]] == []
 
 
 def test_haar_measured_entropy_pure_qubit():
