@@ -32,6 +32,9 @@ from .qcore import (
 )
 
 TOL_CPTP = 1e-9
+# entries (16 MiB) of the flattened Kraus stack per block of the
+# trace-preservation check, whose conjugated temporary is one block
+_GRAM_BLOCK = 1 << 20
 
 
 class ChannelSpecError(ValueError):
@@ -72,7 +75,10 @@ class QuantumChannel:
     """Kraus family with input/output/environment layouts.
 
     kraus has shape (n_kraus, out_dim, in_dim); env_layout describes the
-    grouping of the Kraus index (the canonical environment).
+    grouping of the Kraus index (the canonical environment). The channel
+    keeps a read-only stack: an array its caller could still change (one
+    that is writable, or a view of another array's data) is copied, and
+    one handed over read-only and owning its data is kept as it is.
     """
 
     in_layout: SystemLayout
@@ -99,11 +105,16 @@ class QuantumChannel:
                 f"{nk} kraus operators but env layout total {self.env_layout.total}"
             )
         flat = k.reshape(nk * dout, din)
-        gram = flat.conj().T @ flat
+        gram = np.zeros((din, din), dtype=np.complex128)
+        step = max(1, _GRAM_BLOCK // din)
+        for start in range(0, nk * dout, step):
+            block = flat[start : start + step]
+            gram += block.conj().T @ block
         if np.max(np.abs(gram - np.eye(din))) > TOL_CPTP:
             raise ChannelSpecError("not trace preserving")
-        k = k.copy()
-        k.setflags(write=False)
+        if k.flags.writeable or not k.flags.owndata:
+            k = k.copy()
+            k.setflags(write=False)
         object.__setattr__(self, "kraus", k)
 
     @property
@@ -143,6 +154,13 @@ class CqEnsemble:
     @property
     def layout(self) -> SystemLayout:
         return self.items[0][1].layout
+
+
+def _handover(k: np.ndarray) -> np.ndarray:
+    """Mark a Kraus stack that its builder has just made read-only, so
+    QuantumChannel keeps it instead of copying it."""
+    k.setflags(write=False)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +205,7 @@ def complementary(ch: QuantumChannel) -> QuantumChannel:
         in_layout=ch.in_layout,
         out_layout=ch.env_layout,
         env_layout=ch.out_layout,
-        kraus=comp,
+        kraus=_handover(comp),
     )
 
 
@@ -199,16 +217,14 @@ def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     check_dim(in_lay.total, "tensor channel input")
     check_dim(out_lay.total, "tensor channel output")
     check_dim(env_lay.total, "tensor channel environment")
-    ka, kb = a.kraus, b.kraus
-    kraus = np.einsum("iab,jcd->ijacbd", ka, kb).reshape(
-        ka.shape[0] * kb.shape[0],
-        ka.shape[1] * kb.shape[1],
-        ka.shape[2] * kb.shape[2],
-    )
+    (na, oa, ia), (nb, ob, ib) = a.kraus.shape, b.kraus.shape
+    kraus = np.empty((na * nb, oa * ob, ia * ib), dtype=np.complex128)
+    # written in place through a 6-d view, so the stack owns its data
+    np.einsum("iab,jcd->ijacbd", a.kraus, b.kraus, out=kraus.reshape(na, nb, oa, ob, ia, ib))
     spec = None
     if a.spec is not None and b.spec is not None:
         spec = ChannelSpec(kind="tensor", factors=(a.spec, b.spec))
-    return QuantumChannel(in_lay, out_lay, env_lay, kraus, spec)
+    return QuantumChannel(in_lay, out_lay, env_lay, _handover(kraus), spec)
 
 
 def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
@@ -264,7 +280,7 @@ def erasure_channel(p, d: int) -> QuantumChannel:
         SystemLayout((d,)),
         SystemLayout((d + 1,)),
         SystemLayout((len(ops),)),
-        np.stack(ops),
+        _handover(np.stack(ops)),
         spec,
     )
 
@@ -347,7 +363,7 @@ def rocket_channel(d: int, ensemble="pauli") -> QuantumChannel:
         SystemLayout((d, d)),
         SystemLayout((nr, d)),
         SystemLayout((nr, d)),
-        kraus,
+        _handover(kraus),
         spec,
     )
 
@@ -385,7 +401,7 @@ def switch_channel(components) -> QuantumChannel:
         SystemLayout((m, din)),
         SystemLayout((m, dout)),
         SystemLayout((n_total,)),
-        kraus,
+        _handover(kraus),
         spec,
     )
 
@@ -511,7 +527,7 @@ def spec_to_channel(spec: ChannelSpec) -> QuantumChannel:
             SystemLayout((din,)),
             SystemLayout((dout,)),
             SystemLayout((len(mats),)),
-            np.stack(mats),
+            _handover(np.stack(mats)),
             spec,
         )
     raise ChannelSpecError(f"unknown spec kind {spec.kind!r}")

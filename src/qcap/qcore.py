@@ -256,12 +256,23 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def spectrum_entropy(w) -> float:
+def spectrum_entropy(w):
     """-sum(lam log2 lam) in bits of a spectrum or probability vector,
-    entries clipped to [0, 1]."""
+    entries clipped to [0, 1].
+
+    A 1-D input gives a float, summed over its positive entries only. A
+    stack of shape (..., n) gives one entropy per row, as an array: the
+    logs of the entries <= 0 are filled with zeros, so every row sums over
+    all n entries. Below 8 entries per row the two forms agree bit for bit
+    (numpy's pairwise sum adds fewer than 8 terms in order, and a zero term
+    changes nothing); from 8 entries on, the zeros shift its partial sums.
+    """
     lam = np.clip(w, 0.0, 1.0)
-    nz = lam[lam > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    if lam.ndim == 1:
+        nz = lam[lam > 0.0]
+        return float(-np.sum(nz * np.log2(nz)))
+    logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    return -np.sum(lam * logs, axis=-1)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

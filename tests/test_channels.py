@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcap import qcore
+from qcap import channels, infoquant, qcore
 from qcap.channels import (
     ChannelSpecError,
     CqEnsemble,
@@ -332,3 +332,77 @@ def test_complement_of_random_channel_is_cptp(nk, dout, din, seed):
     comp = complementary(ch)  # the constructor itself rejects a non-CPTP stack
     _assert_cptp(comp)
     assert comp.out_dim == nk and comp.n_kraus == dout
+
+
+def test_constructor_copies_an_array_its_caller_can_still_change():
+    lay_in, lay_out, lay_env = (qcore.SystemLayout((n,)) for n in (2, 3, 3))
+    mine = np.array(erasure_channel(Fraction(1, 4), 2).kraus)  # writable
+    ch = QuantumChannel(lay_in, lay_out, lay_env, mine)
+    before = ch.kraus.copy()
+    mine[:] = 0
+    np.testing.assert_array_equal(ch.kraus, before)
+    assert not ch.kraus.flags.writeable
+    # a read-only view of a writable base is copied too
+    base = before.copy()
+    view = base[:]
+    view.setflags(write=False)
+    ch = QuantumChannel(lay_in, lay_out, lay_env, view)
+    assert not np.shares_memory(ch.kraus, base)
+
+
+def test_trace_preservation_check_covers_every_block(monkeypatch):
+    monkeypatch.setattr(channels, "_GRAM_BLOCK", 12)  # two rows of 6 per block
+    good = _random_channel(np.random.default_rng(5), 7, 2, 6)
+    layouts = (good.in_layout, good.out_layout, good.env_layout)
+    assert np.array_equal(QuantumChannel(*layouts, good.kraus).kraus, good.kraus)
+    for k in (0, 6):
+        bad = np.array(good.kraus)
+        bad[k] *= 1.001
+        with pytest.raises(ChannelSpecError, match="not trace preserving"):
+            QuantumChannel(*layouts, bad)
+
+
+def test_builders_hand_over_their_fresh_stack(monkeypatch):
+    handed = []
+    post_init = QuantumChannel.__post_init__
+
+    def spy(self):
+        handed.append(self.kraus)
+        post_init(self)
+
+    monkeypatch.setattr(QuantumChannel, "__post_init__", spy)
+    a = rocket_channel(2, "identity")
+    b = erasure_channel(Fraction(1, 4), 2)
+    for build in (
+        lambda: tensor_channels(a, b),
+        lambda: complementary(a),
+        lambda: switch_channel([b, erasure_channel(Fraction(1, 3), 2)]),
+    ):
+        ch = build()
+        assert np.shares_memory(handed[-1], ch.kraus)
+        assert not ch.kraus.flags.writeable
+
+
+@settings(max_examples=40, database=None, deadline=None)
+@given(
+    pa=st.fractions(0, 1, max_denominator=24),
+    pb=st.fractions(0, 1, max_denominator=24),
+    c=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flag_pinned_switch_equals_its_component(pa, pb, c, seed):
+    comps = [erasure_channel(pa, 2), erasure_channel(pb, 2)]
+    sw = switch_channel(comps)
+    comp = comps[c]
+    rng = np.random.default_rng(seed)
+    for data in (qcore.random_density((2,), rng), qcore.random_pure((2,), rng).to_density()):
+        pinned = qcore.tensor(qcore.basis_state(2, c).to_density(), data)
+        out = apply(sw, pinned).matrix
+        rows = slice(c * comp.out_dim, (c + 1) * comp.out_dim)
+        np.testing.assert_allclose(out[rows, rows], apply(comp, data).matrix, rtol=0, atol=1e-12)
+        rest = out.copy()
+        rest[rows, rows] = 0
+        assert np.max(np.abs(rest)) < 1e-12
+        assert infoquant.coherent_information(sw, pinned).value == pytest.approx(
+            infoquant.coherent_information(comp, data).value, abs=1e-12
+        )

@@ -6,7 +6,8 @@ helper each) and pin its output: a change to the optimizer's path, a
 rounding or a formatting difference shows up here, where a run compared
 only with itself would not see it. The `info coherent` file for the d=3
 switch was recorded before `channels.apply` became the rank-factored
-kernel.
+kernel. The `verify all` files for seeds 1 and 2 were recorded before the
+brute-force objective took one batched spectrum per side.
 """
 
 import json
@@ -21,7 +22,8 @@ from qcap import channels, cli
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
-    ("verify_all_seed0.txt", ["verify", "all", "--seed", "0"]),
+    (f"verify_all_seed{seed}.txt", ["verify", "all", "--seed", str(seed)]) for seed in (0, 1, 2)
+] + [
     (
         "verify_lower_bound_n2_d2_p1-4_uses3.txt",
         ["verify", "lower-bound", "--n", "2", "--d", "2", "--p", "1/4", "--uses", "3"],

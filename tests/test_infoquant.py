@@ -14,7 +14,7 @@ from qcap.channels import (
     switch_channel,
     tensor_channels,
 )
-from qcap.qcore import LOG2E, basis_state, max_mixed
+from qcap.qcore import LOG2E, DensityOperator, SystemLayout, basis_state, max_mixed
 
 H = lambda p: -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
@@ -87,6 +87,56 @@ def test_brute_force_c1_erasure():
     )
     assert v == pytest.approx(0.75, abs=1e-3)
     assert ens.layout.dims == (2,)
+
+
+def _reference_objective(obj, theta):
+    """The ensemble objective as one eigvalsh and one 1-D spectrum_entropy
+    per matrix: the form the batched objective must reproduce bit for bit."""
+    dec = obj.decode(theta)
+    if dec is None:
+        return -1e3
+    vecs, probs = dec
+    images = np.einsum("kab,xb->xka", obj.kraus, vecs)
+
+    def holevo(outs, avg):
+        return qcore.spectrum_entropy(np.linalg.eigvalsh(avg)) - float(
+            np.sum(probs * [qcore.spectrum_entropy(np.linalg.eigvalsh(o)) for o in outs])
+        )
+
+    bob = np.einsum("xka,xkb->xab", images, images.conj())
+    ixb = holevo(bob, np.einsum("x,xab->ab", probs, bob))
+    if not obj.want_private:
+        return ixb
+    eve = np.einsum("xka,xla->xkl", images, images.conj())
+    return ixb - holevo(eve, np.einsum("x,xkl->kl", probs, eve))
+
+
+@pytest.mark.parametrize("want_private", [True, False])
+@pytest.mark.parametrize(
+    "ch",
+    [
+        switch_channel(
+            [erasure_channel(Fraction(1, 10), 2), erasure_channel(Fraction(2, 5), 2)]
+        ),
+        erasure_channel(Fraction(1, 4), 2),
+    ],
+    ids=["lemma1-switch", "erasure-1/4"],
+)
+def test_ensemble_objective_is_bit_identical_to_per_member_loop(ch, want_private):
+    obj = iq._EnsembleObjective(ch, want_private)
+    rng = np.random.default_rng(2024)
+    thetas = iq._structured_starts(ch, obj) + [
+        rng.standard_normal(obj.n_params()) * rng.choice([1e-3, 1.0, 30.0])
+        for _ in range(400)
+    ]
+    mismatches = [i for i, t in enumerate(thetas) if obj.value(t) != _reference_objective(obj, t)]
+    assert mismatches == []
+    assert all(type(obj.value(t)) is float for t in thetas[:5])
+    # the decode-failure sentinel: all-zero vectors, then all-zero weights
+    assert obj.value(np.zeros(obj.n_params())) == -1e3
+    zero_weights = thetas[0].copy()
+    zero_weights[2 * obj.m * obj.din :] = 0.0
+    assert obj.value(zero_weights) == -1e3
 
 
 def test_brute_force_rejects_large_inputs():
@@ -179,6 +229,46 @@ def test_haar_measured_entropy_seeded():
     a = iq.haar_measured_entropy(rho, 100, 9)
     b = iq.haar_measured_entropy(rho, 100, 9)
     assert a == b
+
+
+# (mean, se) as float.hex, recorded before the Monte Carlo entropies moved
+# into qcore.spectrum_entropy
+HAAR_BITS = {
+    ("pure", 64): [
+        ("0x1.68eb0613bc60cp-1", "0x1.3437e715fd8cfp-5"),
+        ("0x1.806d653075fe6p-1", "0x1.ee648318ff094p-6"),
+        ("0x1.87217f787a65fp-1", "0x1.cf310affd1b2bp-6"),
+        ("0x1.6bd4c378e8234p-1", "0x1.3b3b9ce623d87p-5"),
+    ],
+    ("pure", 200000): [
+        ("0x1.717ed8a9d2c2cp-1", "0x1.3cb686db906c6p-11"),
+        ("0x1.70e9149f97137p-1", "0x1.3d6eb3458366ep-11"),
+        ("0x1.705b55db790c1p-1", "0x1.3d1e0b9c767aep-11"),
+        ("0x1.70d5ce587bad4p-1", "0x1.3d449ceb9dd43p-11"),
+    ],
+    ("mixed3", 64): [
+        ("0x1.8fd313ba3cab6p+0", "0x1.237ef409f0c44p-9"),
+        ("0x1.8f92a93c63713p+0", "0x1.2643164031239p-9"),
+        ("0x1.8f4b9001dd0f5p+0", "0x1.37404ebd8541cp-9"),
+        ("0x1.8e30622767135p+0", "0x1.2ce91c1f02396p-9"),
+    ],
+    ("mixed3", 200000): [
+        ("0x1.8f535b34e7d73p+0", "0x1.68cabff23502dp-15"),
+        ("0x1.8f4d706d2a5fbp+0", "0x1.691ebc10b9c51p-15"),
+        ("0x1.8f4eacb626a8fp+0", "0x1.69073a281d9dep-15"),
+        ("0x1.8f5130ff53f2ep+0", "0x1.68920050e5ae4p-15"),
+    ],
+}
+
+
+@pytest.mark.parametrize("state,samples", list(HAAR_BITS), ids=lambda v: str(v))
+def test_haar_measured_entropy_bits_are_pinned(state, samples):
+    rho = {
+        "pure": basis_state(2, 0).to_density(),
+        "mixed3": DensityOperator(SystemLayout((3,)), np.diag([0.5, 0.3, 0.2]).astype(complex)),
+    }[state]
+    got = [iq.haar_measured_entropy(rho, samples, seed) for seed in range(4)]
+    assert [(m.hex(), se.hex()) for m, se in got] == HAAR_BITS[state, samples]
 
 
 def test_measured_entropy_subentropy_constant():

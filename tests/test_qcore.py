@@ -124,6 +124,37 @@ def test_entropies():
         shannon_entropy([0.7, 0.7])
 
 
+def _edge_rows(n):
+    """Spectra of length n with exact zeros, tiny negatives, a pure row and
+    entries above 1 (clipped), next to random probability rows."""
+    rng = np.random.default_rng(n)
+    rows = [np.eye(1, n, n - 1)[0], np.full(n, 1.0 / n), np.zeros(n)]
+    for _ in range(200):
+        row = rng.dirichlet(np.ones(n))
+        row[rng.random(n) < 0.3] = 0.0
+        row[rng.random(n) < 0.2] = -1e-17 * rng.random()
+        rows.append(row)
+    rows.append(np.linspace(-1e-15, 1.0 + 1e-15, n))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stacked_spectrum_entropy_is_bit_identical_to_rows(n):
+    rows = _edge_rows(n)
+    stacked = qcore.spectrum_entropy(rows)
+    assert stacked.shape == (len(rows),)
+    assert [i for i, row in enumerate(rows) if stacked[i] != qcore.spectrum_entropy(row)] == []
+    # any leading shape: one entropy per row
+    cube = rows[:12].reshape(3, 4, n)
+    np.testing.assert_array_equal(qcore.spectrum_entropy(cube), stacked[:12].reshape(3, 4))
+
+
+def test_spectrum_entropy_of_a_vector_is_a_float():
+    for w in ([0.5, 0.5], np.array([1.0, 0.0, -1e-17]), np.full(9, 1 / 9)):
+        assert type(qcore.spectrum_entropy(w)) is float
+    assert qcore.spectrum_entropy([0.5, 0.5]) == 1.0
+
+
 def test_hermitian_eigh_validates():
     w, v = hermitian_eigh(np.diag([1.0, 2.0]).astype(complex))
     np.testing.assert_allclose(w, [1.0, 2.0])
