@@ -12,17 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+from . import as_fraction
 
 
 @dataclass(frozen=True)
@@ -34,8 +24,8 @@ class BoundParams:
     log2d: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frac(self.p))
-        object.__setattr__(self, "log2d", _frac(self.log2d))
+        object.__setattr__(self, "p", as_fraction(self.p))
+        object.__setattr__(self, "log2d", as_fraction(self.log2d))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.p <= Fraction(1, 2):
@@ -116,8 +106,8 @@ def erasure_capacity_formulas(p, log2d) -> tuple[Fraction, Fraction, Fraction]:
 
     Q = P = max(0, (1-2p) log2d) by degradability; C = (1-p) log2d.
     """
-    p = _frac(p)
-    log2d = _frac(log2d)
+    p = as_fraction(p)
+    log2d = as_fraction(log2d)
     if not 0 <= p <= 1:
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
     q = max(Fraction(0), (1 - 2 * p) * log2d)
@@ -127,7 +117,7 @@ def erasure_capacity_formulas(p, log2d) -> tuple[Fraction, Fraction, Fraction]:
 def locking_upper(p, d: int) -> float:
     """Upper bound (1-p) log2(d) - p gamma_d log2(e) on the key rate that
     survives when the adversary's side information is measured."""
-    p = _frac(p)
+    p = as_fraction(p)
     if p > Fraction(1, 2):
         raise ValueError(f"locking bound needs p <= 1/2, got {p}")
     if d < 1:
@@ -140,7 +130,7 @@ def locking_upper(p, d: int) -> float:
 def classical_add_upper(c1_of_n, n: int, p, log2d) -> Fraction:
     """Classical capacity bound for N tensor (n erasure factors):
     C(N) + n (1-p) log2d."""
-    return _frac(c1_of_n) + n * (1 - _frac(p)) * _frac(log2d)
+    return as_fraction(c1_of_n) + n * (1 - as_fraction(p)) * as_fraction(log2d)
 
 
 def _branches(params: BoundParams, k: int) -> list[tuple[Fraction, str]]:
@@ -223,7 +213,7 @@ def theorem_report(n: int) -> TheoremReport:
 def conjecture_threshold(p, n: int) -> Fraction:
     """Smallest epsilon for which the conjectured sharper bound would bite:
     (1-p) / (p (n-1))."""
-    p = _frac(p)
+    p = as_fraction(p)
     if n < 2:
         raise ValueError(f"threshold needs n >= 2, got {n}")
     if not 0 < p <= Fraction(1, 2):

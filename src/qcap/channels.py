@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import as_fraction
 from .qcore import (
     DensityOperator,
     SystemLayout,
@@ -39,22 +40,6 @@ _GRAM_BLOCK = 1 << 20
 
 class ChannelSpecError(ValueError):
     """Malformed channel description (schema, CPTP, or parameter errors)."""
-
-
-def as_fraction(x) -> Fraction:
-    """Coerce int, Fraction, "a/b" string, or decimal float to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ChannelSpecError(f"bad rational {x!r}: {exc}") from None
-    raise ChannelSpecError(f"cannot interpret {x!r} as a rational")
 
 
 @dataclass(frozen=True)
@@ -241,6 +226,7 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
 def identity_channel(d: int) -> QuantumChannel:
     if d < 1:
         raise ChannelSpecError(f"identity needs d >= 1, got {d}")
+    check_dim(d, "identity")
     k = np.eye(d, dtype=np.complex128)[None, :, :]
     return QuantumChannel(
         SystemLayout((d,)),
@@ -333,6 +319,7 @@ def rocket_channel(d: int, ensemble="pauli") -> QuantumChannel:
     """
     if d < 2:
         raise ChannelSpecError(f"rocket needs d >= 2, got {d}")
+    check_dim(d * d, "rocket input")
     spec = None
     if isinstance(ensemble, str):
         spec = ChannelSpec(kind="rocket", d=d, ensemble=ensemble)
@@ -442,11 +429,13 @@ def _matrix_to_json(m: np.ndarray) -> list:
 def _matrix_from_json(obj) -> np.ndarray:
     try:
         rows = [[complex(e[0], e[1]) for e in row] for row in obj]
-    except (TypeError, IndexError) as exc:
+        m = np.array(rows, dtype=np.complex128)
+    except (TypeError, IndexError, KeyError, ValueError, OverflowError) as exc:
         raise ChannelSpecError(f"bad matrix entry: {exc}") from None
-    m = np.array(rows, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ChannelSpecError("matrix rows have inconsistent lengths")
+    if m.ndim != 2 or m.size == 0:
+        raise ChannelSpecError("matrix must be a nonempty list of equal-length rows")
+    if not np.isfinite(m).all():
+        raise ChannelSpecError("matrix entries must be finite")
     return m
 
 
@@ -488,14 +477,19 @@ def json_to_spec(obj) -> ChannelSpec:
                 kind="switch", components=tuple(json_to_spec(s) for s in obj["components"])
             )
         if kind == "tensor":
-            return ChannelSpec(
-                kind="tensor", factors=tuple(json_to_spec(s) for s in obj["factors"])
-            )
+            factors = tuple(json_to_spec(s) for s in obj["factors"])
+            if not factors:
+                raise ChannelSpecError("tensor needs at least one factor")
+            return ChannelSpec(kind="tensor", factors=factors)
         if kind == "kraus":
             mats = tuple(_matrix_from_json(m) for m in obj["matrices"])
             return ChannelSpec(kind="kraus", matrices=mats)
     except KeyError as exc:
         raise ChannelSpecError(f"channel spec {kind!r} missing field {exc}") from None
+    except ChannelSpecError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ChannelSpecError(f"bad channel spec {kind!r}: {exc}") from None
     raise ChannelSpecError(f"unknown channel kind {kind!r}")
 
 

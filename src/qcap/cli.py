@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import fmt9
+from . import as_fraction, fmt9
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -41,13 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational like 11/24, got {text!r}")
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -82,11 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     b_thm.add_argument("--n", type=int, required=True)
     b_thm.add_argument("--format", choices=("json", "csv"), default="json")
     b_lock = bsub.add_parser("locking", help="measured-adversary key-rate bound")
-    b_lock.add_argument("--p", type=_fraction_arg, required=True)
+    b_lock.add_argument("--p", type=as_fraction, required=True)
     b_lock.add_argument("--d", type=int, required=True)
     b_lock.add_argument("--format", choices=("json", "csv"), default="json")
     b_conj = bsub.add_parser("conjecture", help="epsilon threshold of the sharper bound")
-    b_conj.add_argument("--p", type=_fraction_arg, required=True)
+    b_conj.add_argument("--p", type=as_fraction, required=True)
     b_conj.add_argument("--n", type=int, required=True)
 
     p_info = sub.add_parser("info", help="information quantities of a channel")
@@ -108,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--n", type=int, default=1)
     p_verify.add_argument("--d", type=int, default=2)
-    p_verify.add_argument("--p", type=_fraction_arg, default=Fraction(1, 4))
+    p_verify.add_argument("--p", type=as_fraction, default=Fraction(1, 4))
     p_verify.add_argument("--uses", type=int, default=2)
 
     p_sweep = sub.add_parser("sweep", help="tabulate bounds over a grid (CSV)")
     ssub = p_sweep.add_subparsers(dest="target", required=True, parser_class=_Parser)
     s_lock = ssub.add_parser("locking")
-    s_lock.add_argument("--p", type=_fraction_arg, required=True)
+    s_lock.add_argument("--p", type=as_fraction, required=True)
     s_lock.add_argument("--d", type=_range_arg, required=True, metavar="LO:HI")
     s_bounds = ssub.add_parser("bounds")
     s_bounds.add_argument("--n", type=int, required=True)
@@ -152,7 +145,7 @@ def _state_from_obj(obj, path: str):
         return qcore.DensityOperator(qcore.SystemLayout(dims), matrix)
     except ChannelSpecError as exc:
         raise DataError(f"{path}: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: bad state object: {exc}")
 
 
@@ -167,13 +160,13 @@ def _load_ensemble(path: str):
     try:
         raw = obj["items"]
         items = tuple(
-            (float(qch.as_fraction(it["p"])), _state_from_obj(it["state"], path))
+            (float(as_fraction(it["p"])), _state_from_obj(it["state"], path))
             for it in raw
         )
         return qch.CqEnsemble(items)
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: bad ensemble object: {exc}")
 
 
@@ -216,12 +209,17 @@ def _cmd_info(args) -> int:
     if args.quantity == "coherent":
         if args.state is None:
             raise UsageError("info coherent needs --state")
-        res = iq.coherent_information(ch, _load_state(args.state))
+        path, inp, compute = args.state, _load_state(args.state), iq.coherent_information
     else:
         if args.ensemble is None:
             raise UsageError(f"info {args.quantity} needs --ensemble")
-        ens = _load_ensemble(args.ensemble)
-        res = iq.holevo_bob(ch, ens) if args.quantity == "holevo" else iq.private_value(ch, ens)
+        path, inp = args.ensemble, _load_ensemble(args.ensemble)
+        compute = iq.holevo_bob if args.quantity == "holevo" else iq.private_value
+    if inp.layout.total != ch.in_dim:
+        raise DataError(
+            f"{path}: input dimension {inp.layout.total} does not match channel input {ch.in_dim}"
+        )
+    res = compute(ch, inp)
     _emit_json(
         {
             "quantity": args.quantity,
@@ -307,13 +305,13 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"qcap: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # dimension cap is raised deep inside numerics
-        from .qcore import DimensionCapError
+    except Exception as exc:  # the dimension cap is read deep inside numerics
+        from .qcore import DimCapSettingError, DimensionCapError
 
-        if isinstance(exc, DimensionCapError):
-            print(f"qcap: error: {exc}", file=sys.stderr)
-            return EXIT_DIM_CAP
-        raise
+        if not isinstance(exc, (DimCapSettingError, DimensionCapError)):
+            raise
+        print(f"qcap: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, DimCapSettingError) else EXIT_DIM_CAP
     finally:
         # --dim-cap holds for this call only
         if previous_cap is None:

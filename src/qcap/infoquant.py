@@ -16,13 +16,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
+from . import as_fraction, qcore
 from . import channels as qch
-from . import qcore
 from .channels import CqEnsemble, QuantumChannel
 from .qcore import DensityOperator, PureState, SystemLayout
 
 MAX_BRUTE_DIM = 8
-MAX_ACCESS_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -346,7 +345,7 @@ def witness_coherent_info(
     """
     if j < 2 or n < 1 or d < 2:
         raise ValueError(f"witness needs j >= 2, n >= 1, d >= 2; got n={n} d={d} j={j}")
-    p = qch.as_fraction(p)
+    p = as_fraction(p)
     m = min(n, j - 1)
     pad_dim = d ** (2 * n - 1)
 
@@ -358,11 +357,10 @@ def witness_coherent_info(
         nonlocal hb, he, resid
         if count == 0:
             return
-        b, rb = _entropy_with_residual(qch.apply(ch, rho))
-        e, re_ = _entropy_with_residual(qch.apply(qch.complementary(ch), rho))
-        hb += count * b
-        he += count * e
-        resid = max(resid, rb, re_)
+        res = coherent_information(ch, rho)
+        hb += count * res.components["H(B)"]
+        he += count * res.components["H(E)"]
+        resid = max(resid, res.diagnostics["max_trace_residual"])
 
     rocket = qch.rocket_channel(d, ensemble)
     erasure = qch.erasure_channel(p, d)
@@ -528,72 +526,3 @@ def haar_measured_entropy(
     mean = float(np.mean(ent))
     se = float(np.std(ent, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, se
-
-
-# ---------------------------------------------------------------------------
-# accessible information lower-bound search
-
-
-class _PovmObjective:
-    """Mutual information over rank-one POVMs built from m = d^2 free
-    vectors v_i via E_i = M^(-1/2) v_i v_i^dag M^(-1/2), M = sum v v^dag."""
-
-    def __init__(self, ens: CqEnsemble):
-        self.d = ens.layout.total
-        self.m = self.d * self.d
-        self.px = np.array([p for p, _ in ens.items])
-        self.states = np.stack([rho.matrix for _, rho in ens.items])
-
-    def n_params(self) -> int:
-        return 2 * self.m * self.d
-
-    def decode(self, theta: np.ndarray):
-        z = theta.reshape(self.m, 2, self.d)
-        vecs = z[:, 0, :] + 1j * z[:, 1, :]
-        mmat = np.einsum("ia,ib->ab", vecs, vecs.conj())
-        w, v = np.linalg.eigh(mmat)
-        if w[0] < 1e-10 * max(float(w[-1]), 1.0):
-            return None
-        inv_sqrt = (v * (w**-0.5)) @ v.conj().T
-        return vecs @ inv_sqrt.T  # rows a_i with sum |a_i><a_i| = I
-
-    def value(self, theta: np.ndarray) -> float:
-        a = self.decode(theta)
-        if a is None:
-            return -1e3
-        # p(y|x) = <a_y| rho_x |a_y>
-        pyx = np.einsum("ya,xab,yb->xy", a.conj(), self.states, a).real
-        pyx = np.clip(pyx, 0.0, None)
-        joint = self.px[:, None] * pyx
-        py = np.sum(joint, axis=0)
-        return (
-            qcore.shannon_entropy(self.px)
-            + qcore.spectrum_entropy(py)
-            - qcore.spectrum_entropy(joint.reshape(-1))
-        )
-
-    def povm(self, theta: np.ndarray) -> list[np.ndarray]:
-        a = self.decode(theta)
-        return [np.outer(a[i], a[i].conj()) for i in range(self.m)]
-
-
-def accessible_info_search(ens: CqEnsemble, cfg: OptimizerConfig = OptimizerConfig()):
-    """Best I(X;Y) found over rank-one POVMs with up to d^2 elements.
-
-    A lower bound on the accessible information; deterministic given seed.
-    """
-    d = ens.layout.total
-    if d > MAX_ACCESS_DIM:
-        raise ValueError(f"accessible-information search capped at dim {MAX_ACCESS_DIM}")
-    obj = _PovmObjective(ens)
-    m = obj.m
-    # warm start: eigenbasis of the average state, duplicated at half
-    # weight to fill the m slots
-    avg = sum(p * rho.matrix for p, rho in ens.items)
-    _, eigvecs = np.linalg.eigh(avg)
-    vecs = np.zeros((m, d), dtype=np.complex128)
-    for i in range(m):
-        vecs[i] = eigvecs[:, i % d] * (1.0 if i < d else 0.5)
-    warm = np.stack([vecs.real, vecs.imag], axis=1).reshape(-1)
-    best_val, best_theta = _multistart(obj, [warm], cfg)
-    return best_val, obj.povm(best_theta)

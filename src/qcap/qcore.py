@@ -28,14 +28,21 @@ class DimensionCapError(RuntimeError):
     """Raised when a construction would exceed the global dimension cap."""
 
 
+class DimCapSettingError(RuntimeError):
+    """Raised when QCAP_DIM_CAP is not an integer >= 2."""
+
+
 def dim_cap() -> int:
     """Current global dimension cap (env override: QCAP_DIM_CAP)."""
     raw = os.environ.get("QCAP_DIM_CAP")
     if raw is None:
         return DEFAULT_DIM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 2:
-        raise ValueError(f"QCAP_DIM_CAP must be >= 2, got {cap}")
+        raise DimCapSettingError(f"QCAP_DIM_CAP must be an integer >= 2, got {raw!r}")
     return cap
 
 
@@ -240,22 +247,6 @@ def permute_systems(rho: DensityOperator, perm) -> DensityOperator:
     )
 
 
-def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, nondecreasing eigenvalues.
-
-    Validates Hermiticity (1e-10) and the reconstruction residual (1e-9).
-    """
-    a = _as_matrix(m)
-    herm = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if herm > TOL_HERMITIAN:
-        raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
-    w, v = np.linalg.eigh(a)
-    resid = float(np.max(np.abs((v * w) @ v.conj().T - a)))
-    if resid > TOL_EIG:
-        raise ValueError(f"eigendecomposition residual {resid:.3e} exceeds 1e-9")
-    return w, v
-
-
 def spectrum_entropy(w):
     """-sum(lam log2 lam) in bits of a spectrum or probability vector,
     entries clipped to [0, 1].
@@ -281,42 +272,6 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     if w[0] < -TOL_EIG:
         raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -1e-9")
     return spectrum_entropy(w)
-
-
-def shannon_entropy(p) -> float:
-    """Entropy in bits of a probability vector (entries >= -1e-12, sum 1)."""
-    q = np.asarray(p, dtype=np.float64).reshape(-1)
-    if q.size == 0 or np.min(q) < -1e-12:
-        raise ValueError("invalid distribution: negative entries")
-    if abs(float(np.sum(q)) - 1.0) > 1e-9:
-        raise ValueError(f"invalid distribution: sum {float(np.sum(q))!r}")
-    return spectrum_entropy(q)
-
-
-def purify(rho: DensityOperator) -> PureState:
-    """Pure state on [original, reference] whose reduction reproduces rho.
-
-    Eigenvalues are paired with reference basis states in decreasing order,
-    so a pure input purifies to itself tensored with reference |0>.
-    """
-    w, v = hermitian_eigh(rho.matrix)
-    d = rho.dim
-    check_dim(d * d, "purification")
-    order = np.argsort(w)[::-1]
-    amp = np.zeros(d * d, dtype=np.complex128)
-    for ref, k in enumerate(order):
-        lam = max(float(w[k]), 0.0)
-        if lam == 0.0:
-            continue
-        amp += math.sqrt(lam) * np.kron(v[:, k], _basis_vec(d, ref))
-    amp /= np.linalg.norm(amp)
-    return PureState(SystemLayout(rho.layout.dims + (d,)), amp)
-
-
-def _basis_vec(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.complex128)
-    v[i] = 1.0
-    return v
 
 
 def max_entangled(d: int) -> PureState:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, channels as qch, fmt9, infoquant as iq, qcore
+from . import as_fraction, bounds, channels as qch, fmt9, infoquant as iq, qcore
 
 SUITE_NAMES = ("lemma1", "lemma2-appendix", "lemma3", "lower-bound")
 
@@ -223,7 +223,7 @@ def run_lemma3(seed: int, samples: int | None) -> SuiteResult:
 
 
 def run_lower_bound(n: int, d: int, p, j: int) -> SuiteResult:
-    p = qch.as_fraction(p)
+    p = as_fraction(p)
     res = iq.witness_coherent_info(n, p, d, j)
     rate = res.diagnostics["rate_per_use"]
     pairs = min(n, j - 1)

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcap import channels, infoquant, qcore
+from qcap import as_fraction, channels, infoquant, qcore
 from qcap.channels import (
     ChannelSpecError,
     CqEnsemble,
     QuantumChannel,
     apply,
-    as_fraction,
     complementary,
     erasure_channel,
     identity_channel,
@@ -71,10 +70,16 @@ def _inputs(layout, rng):
 
 def test_as_fraction_forms():
     assert as_fraction("11/24") == Fraction(11, 24)
+    assert as_fraction(" 11/24 ") == Fraction(11, 24)
+    assert as_fraction(3) == Fraction(3) and type(as_fraction(3)) is Fraction
     assert as_fraction(0.25) == Fraction(1, 4)
+    assert as_fraction(0.1) == Fraction(1, 10)  # the decimal it prints as
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
-    with pytest.raises(ChannelSpecError):
-        as_fraction("eleven")
+    # plain ValueError; json_to_spec is what turns it into ChannelSpecError
+    for bad in ("eleven", "1/0", None, [1, 4]):
+        with pytest.raises(ValueError) as exc:
+            as_fraction(bad)
+        assert exc.type is ValueError
 
 
 def test_erasure_channel_structure():
@@ -272,6 +277,54 @@ def test_spec_json_roundtrip():
     assert back.in_layout.dims == sw.in_layout.dims
 
 
+def _isometry_json(seed, d):
+    """A two-operator Kraus spec on C^d, cut from a seeded isometry."""
+    rng = np.random.default_rng(seed)
+    iso, _ = np.linalg.qr(rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d)))
+    mats = iso.reshape(2, d, d)
+    return {"kind": "kraus", "matrices": [[[[z.real, z.imag] for z in row] for row in k] for k in mats]}
+
+
+def _leaf_specs(d):
+    return st.one_of(
+        st.fractions(0, 1, max_denominator=12).map(lambda p: {"kind": "erasure", "p": str(p), "d": d}),
+        st.just({"kind": "full_erasure", "d": d}),
+        st.just({"kind": "identity", "d": d}),
+        st.integers(0, 2**32 - 1).map(lambda seed: _isometry_json(seed, d)),
+    )
+
+
+# one input dimension per switch; tensors of up to two such trees and rockets
+_same_input_specs = st.integers(1, 3).flatmap(
+    lambda d: st.one_of(
+        _leaf_specs(d),
+        st.lists(_leaf_specs(d), min_size=2, max_size=3).map(
+            lambda cs: {"kind": "switch", "components": cs}
+        ),
+    )
+)
+_valid_specs = st.one_of(
+    _same_input_specs,
+    st.lists(
+        st.one_of(_same_input_specs, st.sampled_from(["identity", "pauli"]).map(
+            lambda e: {"kind": "rocket", "d": 2, "ensemble": e}
+        )),
+        min_size=1,
+        max_size=2,
+    ).map(lambda fs: {"kind": "tensor", "factors": fs}),
+)
+
+
+@settings(max_examples=60, database=None, deadline=None)
+@given(obj=_valid_specs)
+def test_serialized_spec_is_a_fixed_point(obj):
+    ch = parse_channel_spec(obj)
+    text = serialize_channel_spec(ch)
+    again = parse_channel_spec(text)
+    assert serialize_channel_spec(again) == text
+    np.testing.assert_array_equal(again.kraus, ch.kraus)
+
+
 def test_kraus_spec_roundtrip():
     ch = erasure_channel(Fraction(1, 3), 2)
     raw = json.dumps(
@@ -291,6 +344,8 @@ def test_parse_rejects_garbage():
         parse_channel_spec(json.dumps({"kind": "wormhole"}))
     with pytest.raises(ChannelSpecError):
         parse_channel_spec(json.dumps({"kind": "erasure", "p": "1/4"}))
+    with pytest.raises(ChannelSpecError):
+        parse_channel_spec(json.dumps({"kind": "erasure", "p": "eleven", "d": 2}))
     # non-trace-preserving Kraus set must be rejected at construction
     bad = json.dumps({"kind": "kraus", "matrices": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]})
     with pytest.raises(ChannelSpecError):

@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcap import cli, qcore
 
@@ -120,14 +129,175 @@ def test_info_bad_state_matrix(capsys, tmp_path):
     bad = write_state(tmp_path, [0.9, 0.9], name="s2.json")
     code, _, _ = run(capsys, "info", "coherent", "--channel", chan, "--state", bad)
     assert code == 65
+    nan = write_state(tmp_path, [1.0, math.nan], name="s3.json")
+    code, _, _ = run(capsys, "info", "coherent", "--channel", chan, "--state", nan)
+    assert code == 65
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "erasure", "p": "1/4", "d": "x"},
+        {"kind": "erasure", "p": "1/4", "d": math.inf},
+        {"kind": "switch", "components": 5},
+        {"kind": "tensor", "factors": []},
+        {"kind": "kraus", "matrices": 5},
+        {"kind": "kraus", "matrices": [[[]]]},
+        # NaN passes every tolerance comparison, the CPTP check included
+        {"kind": "kraus", "matrices": [[[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]]},
+        {"kind": "identity", "d": 3},  # a valid channel on the wrong input dimension
+    ],
+    ids=["d-not-int", "d-infinite", "components-not-list", "no-factors", "matrices-not-list",
+         "empty-matrix", "nan-entry", "dimension-mismatch"],
+)
+def test_malformed_channel_spec_exits_65(capsys, tmp_path, spec):
+    chan = write_channel(tmp_path, spec)
+    state = write_state(tmp_path, [0.5, 0.5])
+    code, out, err = run(capsys, "info", "coherent", "--channel", chan, "--state", state)
+    assert code == 65
+    assert out == ""
+    assert err.startswith("qcap: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "1"])
+def test_bad_dim_cap_environment_exits_64(capsys, tmp_path, monkeypatch, cap):
+    monkeypatch.setenv("QCAP_DIM_CAP", cap)
+    chan = write_channel(tmp_path, {"kind": "erasure", "p": "1/4", "d": 2})
+    state = write_state(tmp_path, [0.5, 0.5])
+    code, out, err = run(capsys, "info", "coherent", "--channel", chan, "--state", state)
+    assert code == 64
+    assert out == ""
+    assert err == f"qcap: error: QCAP_DIM_CAP must be an integer >= 2, got {cap!r}\n"
+
+
+# Fuzzed input files: wrong field types, missing fields, empty lists and
+# non-objects, next to valid files that reach the numerics. Every d is at
+# most 3 (or far above any cap) and the run passes --dim-cap 64: the cap
+# bounds layout totals, not the elements a builder allocates (a Pauli rocket
+# at d=4 is a 256 MiB stack under the default cap).
+_junk = st.sampled_from([None, True, -1, 0.5, math.nan, math.inf, 10**400, "", "a/", [], {}])
+_entry = st.one_of(st.lists(st.floats(-1, 1), min_size=2, max_size=2), _junk)
+_matrix = st.one_of(st.lists(st.lists(_entry, max_size=3), max_size=3), _junk)
+_dim = st.one_of(st.integers(-1, 3), st.floats(-1, 3.9), _junk)
+_valid_channels = st.sampled_from(
+    [
+        {"kind": "erasure", "p": "1/4", "d": 2},
+        {"kind": "identity", "d": 2},
+        {"kind": "rocket", "d": 2, "ensemble": "identity"},
+    ]
+)
+_channels = st.deferred(
+    lambda: st.one_of(
+        _junk,
+        _valid_channels,
+        st.fixed_dictionaries(
+            {
+                "kind": st.sampled_from(
+                    ["erasure", "full_erasure", "rocket", "identity", "switch", "tensor", "kraus", 5]
+                )
+            },
+            optional={
+                "p": st.one_of(st.sampled_from(["1/4", "1", "2", "1/0", "eleven"]), _junk),
+                "d": _dim,
+                "ensemble": st.one_of(st.sampled_from(["pauli", "identity"]), _junk),
+                "components": st.one_of(st.lists(_channels, max_size=3), _junk),
+                "factors": st.one_of(st.lists(_channels, max_size=2), _junk),
+                "matrices": st.one_of(st.lists(_matrix, max_size=2), _junk),
+            },
+        ),
+    )
+)
+
+
+def _max_mixed_json(d):
+    return {"layout": [d], "matrix": [[[1 / d if i == j else 0, 0] for j in range(d)] for i in range(d)]}
+
+
+_states = st.one_of(
+    _junk,
+    st.sampled_from([2, 4]).map(_max_mixed_json),
+    st.fixed_dictionaries(
+        {}, optional={"layout": st.one_of(st.lists(_dim, max_size=3), _junk), "matrix": _matrix}
+    ),
+)
+_ensembles = st.one_of(
+    _junk,
+    st.sampled_from([2, 4]).map(
+        lambda d: {"items": [{"p": "1/2", "state": _max_mixed_json(d)}] * 2}
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "items": st.one_of(
+                st.lists(
+                    st.fixed_dictionaries(
+                        {},
+                        optional={
+                            "p": st.one_of(st.sampled_from(["1/2", "1", "-1", "1e400"]), _junk),
+                            "state": _states,
+                        },
+                    ),
+                    max_size=3,
+                ),
+                _junk,
+            )
+        },
+    ),
+)
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(
+    quantity=st.sampled_from(["coherent", "holevo", "private"]),
+    channel=_channels,
+    state=_states,
+    ensemble=_ensembles,
+)
+def test_info_on_fuzzed_input_files_exits_cleanly(quantity, channel, state, ensemble):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["--dim-cap", "64", "info", quantity]
+        for flag, obj in (("--channel", channel), ("--state", state), ("--ensemble", ensemble)):
+            path = os.path.join(tmp, flag[2:] + ".json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            argv += [flag, path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 65, 70)
+
+
+def test_exact_lane_imports_no_numeric_module():
+    # bounds locking and sweep locking are left out: they import infoquant
+    # (and numpy and scipy with it) for gamma_d until gamma_d moves to bounds
+    script = (
+        "import contextlib, io, sys\n"
+        "from qcap import cli\n"
+        "argvs = (['bounds', 'theorem', '--n', '3'], ['bounds', 'conjecture', '--p', '11/24',"
+        " '--n', '13'], ['sweep', 'bounds', '--n', '3', '--k', '1:2'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(a) for a in argvs]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy', 'mpmath')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] []\n"
 
 
 def test_info_dimension_cap(capsys, tmp_path):
-    chan = write_channel(tmp_path, {"kind": "erasure", "p": "1/4", "d": 9000})
     state = write_state(tmp_path, [0.5, 0.5])
-    code, _, err = run(capsys, "info", "coherent", "--channel", chan, "--state", state)
-    assert code == 70
-    assert "cap" in err
+    for spec in (
+        {"kind": "erasure", "p": "1/4", "d": 9000},
+        {"kind": "identity", "d": 10**32},
+        {"kind": "rocket", "d": 10**32},
+    ):
+        chan = write_channel(tmp_path, spec)
+        code, _, err = run(capsys, "info", "coherent", "--channel", chan, "--state", state)
+        assert code == 70
+        assert "cap" in err
 
 
 def test_dim_cap_flag_overrides_environment(capsys, tmp_path, monkeypatch):

@@ -277,36 +277,3 @@ def test_measured_entropy_subentropy_constant():
     for d in (2, 3):
         gap = math.log2(d) - iq.subentropy(max_mixed(d))
         assert gap == pytest.approx((float(iq.harmonic(d)) - 1.0) * LOG2E, abs=1e-6)
-
-
-def test_accessible_info_orthogonal_pair():
-    ens = CqEnsemble(
-        ((0.5, basis_state(2, 0).to_density()), (0.5, basis_state(2, 1).to_density()))
-    )
-    val, povm = iq.accessible_info_search(ens, iq.OptimizerConfig(restarts=3, iterations=300))
-    assert val == pytest.approx(1.0, abs=1e-6)
-    total = sum(povm)
-    np.testing.assert_allclose(total, np.eye(2), atol=1e-8)
-
-
-def test_accessible_info_bb84_sandwich():
-    lay = qcore.SystemLayout((2,))
-    plus = qcore.PureState(lay, np.array([1, 1]) / math.sqrt(2)).to_density()
-    minus = qcore.PureState(lay, np.array([1, -1]) / math.sqrt(2)).to_density()
-    ens = CqEnsemble(
-        (
-            (0.25, basis_state(2, 0).to_density()),
-            (0.25, basis_state(2, 1).to_density()),
-            (0.25, plus),
-            (0.25, minus),
-        )
-    )
-    val, _ = iq.accessible_info_search(ens, iq.OptimizerConfig(restarts=6, iterations=400))
-    avg = max_mixed(2)
-    assert iq.subentropy(avg) - 1e-6 <= val <= 1.0 + 1e-9
-
-
-def test_accessible_info_rejects_large_dims():
-    ens = CqEnsemble(((1.0, max_mixed(5)),))
-    with pytest.raises(ValueError):
-        iq.accessible_info_search(ens)
