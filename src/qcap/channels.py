@@ -3,7 +3,9 @@ switched rocket/erasure constructions, plus a JSON channel-spec format.
 
 A channel is an immutable bundle of Kraus operators stacked into one
 (n_kraus, out_dim, in_dim) array. The canonical complement is derived
-directly from the Kraus family: N_c(rho)[i,j] = Tr(K_i rho K_j^dag).
+directly from the Kraus family: N_c(rho)[i,j] = Tr(K_i rho K_j^dag). Its
+stack is a read-only view of the channel's own, with the first two axes
+swapped, so complementing copies no Kraus operator.
 
 `apply` never forms K rho K^dag operator by operator. It factors the input
 as rho = sum_j s_j a_j a_j^dag over its numerically nonzero eigenpairs
@@ -12,6 +14,12 @@ images W = [K_k a_j] stacked side by side: the work scales with the rank
 of the input, and both products run in BLAS. The complement's output
 comes from the same kernel, since its Kraus operators are the rows of the
 K_k.
+
+The switch flag and the rocket's announced label are classical registers
+that Bob and Eve both see, so the stacks built here are mostly zeros.
+The trace-preservation check sums only over Kraus rows that are not all
+zero, and from an output dimension of qcore.SPARSE_MIN_DIM on `apply`
+multiplies only the nonzero rows and columns of W.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import numpy as np
 
 from . import as_fraction
 from .qcore import (
+    SPARSE_MIN_DIM,
     DensityOperator,
     SystemLayout,
     check_dim,
@@ -33,8 +42,8 @@ from .qcore import (
 )
 
 TOL_CPTP = 1e-9
-# entries (16 MiB) of the flattened Kraus stack per block of the
-# trace-preservation check, whose conjugated temporary is one block
+# Kraus entries (16 MiB) per block of whole Kraus operators in the
+# trace-preservation check, whose temporaries are one block at most
 _GRAM_BLOCK = 1 << 20
 
 
@@ -62,8 +71,10 @@ class QuantumChannel:
     kraus has shape (n_kraus, out_dim, in_dim); env_layout describes the
     grouping of the Kraus index (the canonical environment). The channel
     keeps a read-only stack: an array its caller could still change (one
-    that is writable, or a view of another array's data) is copied, and
-    one handed over read-only and owning its data is kept as it is.
+    that is writable, or a view of a writable array) is copied, and one
+    handed over read-only is kept as it is, when its rows are contiguous
+    and it owns its data or is a view of a read-only array that does (a
+    complement's stack).
     """
 
     in_layout: SystemLayout
@@ -89,17 +100,29 @@ class QuantumChannel:
             raise ChannelSpecError(
                 f"{nk} kraus operators but env layout total {self.env_layout.total}"
             )
-        flat = k.reshape(nk * dout, din)
-        gram = np.zeros((din, din), dtype=np.complex128)
-        step = max(1, _GRAM_BLOCK // din)
-        for start in range(0, nk * dout, step):
-            block = flat[start : start + step]
-            gram += block.conj().T @ block
-        if np.max(np.abs(gram - np.eye(din))) > TOL_CPTP:
-            raise ChannelSpecError("not trace preserving")
-        if k.flags.writeable or not k.flags.owndata:
+        owner = k if k.flags.owndata else k.base
+        if (
+            k.flags.writeable
+            or not isinstance(owner, np.ndarray)
+            or not owner.flags.owndata
+            or owner.flags.writeable
+            or k.strides[-1] != k.itemsize
+        ):
             k = k.copy()
             k.setflags(write=False)
+        # sum_k K_k^dag K_k over the rows that are not all zero, a block of
+        # Kraus operators at a time, so a view is never copied whole. A row
+        # counts as zero when its squared norm is: one whose entries all lie
+        # below 1e-154 in size adds less than 1e-300 to the Gram.
+        gram = np.zeros((din, din), dtype=np.complex128)
+        step = max(1, _GRAM_BLOCK // (dout * din))
+        for start in range(0, nk, step):
+            block = k[start : start + step]
+            re_im = block.view(np.float64)
+            rows = block[np.einsum("kmi,kmi->km", re_im, re_im) != 0]
+            gram += rows.conj().T @ rows
+        if np.max(np.abs(gram - np.eye(din))) > TOL_CPTP:
+            raise ChannelSpecError("not trace preserving")
         object.__setattr__(self, "kraus", k)
 
     @property
@@ -160,7 +183,9 @@ def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     and s_j the sign of lam_j: the slightly negative eigenvalues that a
     DensityOperator admits keep their sign, so the output trace stays
     exact. The images W[m, (k, j)] = (K_k a_j)[m] form one
-    (out, n_kraus * rank) matrix and the output is W diag(s) W^dag.
+    (out, n_kraus * rank) matrix and the output is W diag(s) W^dag. From
+    an output dimension of qcore.SPARSE_MIN_DIM on, that product runs only
+    over the rows and columns of W that are not all zero.
     """
     if rho.layout.total != ch.in_dim:
         raise ValueError(
@@ -174,7 +199,16 @@ def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     w = np.matmul(ch.kraus.swapaxes(0, 1), a)  # (out, nk, rank)
     ws = w.conj()
     ws *= np.sign(lam[keep])
-    out = w.reshape(ch.out_dim, -1) @ ws.reshape(ch.out_dim, -1).T
+    w, ws = w.reshape(ch.out_dim, -1), ws.reshape(ch.out_dim, -1)
+    if ch.out_dim < SPARSE_MIN_DIM:
+        out = w @ ws.T
+    else:
+        # the product over the nonzero rows and columns of W only,
+        # scattered into the zero output
+        rows = np.flatnonzero(w.any(axis=1))
+        sub = np.ix_(rows, np.flatnonzero(w.any(axis=0)))
+        out = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
+        out[np.ix_(rows, rows)] = w[sub] @ ws[sub].T
     return DensityOperator(ch.out_layout, out, check_psd=False)
 
 
@@ -182,15 +216,15 @@ def complementary(ch: QuantumChannel) -> QuantumChannel:
     """Canonical complement from V|psi> = sum_i K_i|psi> x |i>_E.
 
     The complement's Kraus operator for output row m collects the m-th rows
-    of every K_i, so that N_c(rho)[i,j] = Tr(K_i rho K_j^dag).
+    of every K_i, so that N_c(rho)[i,j] = Tr(K_i rho K_j^dag). Its stack is
+    the read-only view ch.kraus.swapaxes(0, 1) of the channel's own stack,
+    (out, nk, in) with kraus[m][i, :] = K_i[m, :]; nothing is copied.
     """
-    # (out, nk, in): kraus[m][i, :] = K_i[m, :]
-    comp = np.ascontiguousarray(np.swapaxes(ch.kraus, 0, 1))
     return QuantumChannel(
         in_layout=ch.in_layout,
         out_layout=ch.env_layout,
         env_layout=ch.out_layout,
-        kraus=_handover(comp),
+        kraus=ch.kraus.swapaxes(0, 1),
     )
 
 
@@ -323,6 +357,8 @@ def rocket_channel(d: int, ensemble="pauli") -> QuantumChannel:
     spec = None
     if isinstance(ensemble, str):
         spec = ChannelSpec(kind="rocket", d=d, ensemble=ensemble)
+        if ensemble == "pauli":  # d^4 pairs: check the output before building them
+            check_dim(d**5, "rocket output")
         ensemble = unitary_pair_ensemble(d, ensemble)
     pairs = list(ensemble)
     if not pairs:
@@ -457,21 +493,31 @@ def spec_to_json(spec: ChannelSpec) -> dict:
     raise ChannelSpecError(f"unknown spec kind {spec.kind!r}")
 
 
+def _dim_from_json(value) -> int:
+    """A dimension field: a number or string that reads as an integer."""
+    d = as_fraction(value)
+    if d.denominator != 1:
+        raise ChannelSpecError(f"dimension must be an integer, got {value!r}")
+    return int(d)
+
+
 def json_to_spec(obj) -> ChannelSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ChannelSpecError("channel spec must be an object with a \"kind\" field")
     kind = obj["kind"]
     try:
         if kind == "erasure":
-            return ChannelSpec(kind="erasure", p=as_fraction(obj["p"]), d=int(obj["d"]))
+            return ChannelSpec(kind="erasure", p=as_fraction(obj["p"]), d=_dim_from_json(obj["d"]))
         if kind == "full_erasure":
-            return ChannelSpec(kind="full_erasure", d=int(obj["d"]))
+            return ChannelSpec(kind="full_erasure", d=_dim_from_json(obj["d"]))
         if kind == "rocket":
             return ChannelSpec(
-                kind="rocket", d=int(obj["d"]), ensemble=str(obj.get("ensemble", "pauli"))
+                kind="rocket",
+                d=_dim_from_json(obj["d"]),
+                ensemble=str(obj.get("ensemble", "pauli")),
             )
         if kind == "identity":
-            return ChannelSpec(kind="identity", d=int(obj["d"]))
+            return ChannelSpec(kind="identity", d=_dim_from_json(obj["d"]))
         if kind == "switch":
             return ChannelSpec(
                 kind="switch", components=tuple(json_to_spec(s) for s in obj["components"])

@@ -130,7 +130,7 @@ def _load_channel(path: str):
     from . import channels as qch
 
     try:
-        return qch.parse_channel_spec(_load_json_file(path))
+        return qch.spec_to_channel(qch.json_to_spec(_load_json_file(path)))
     except qch.ChannelSpecError as exc:
         raise DataError(f"{path}: {exc}")
 

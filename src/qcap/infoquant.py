@@ -45,7 +45,7 @@ class OptimizerConfig:
 
 
 def _entropy_with_residual(rho: DensityOperator) -> tuple[float, float]:
-    w = np.linalg.eigvalsh(rho.matrix)
+    w = qcore.hermitian_spectrum(rho.matrix)
     return qcore.spectrum_entropy(w), abs(float(np.sum(w)) - 1.0)
 
 

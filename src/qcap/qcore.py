@@ -23,6 +23,11 @@ TOL_EIG = 1e-9
 
 DEFAULT_DIM_CAP = 2**13
 
+# From this matrix dimension on, `hermitian_spectrum` and `channels.apply`
+# restrict their work to the nonzero pattern; below it the dense kernels
+# are faster and run unchanged.
+SPARSE_MIN_DIM = 64
+
 
 class DimensionCapError(RuntimeError):
     """Raised when a construction would exceed the global dimension cap."""
@@ -264,6 +269,52 @@ def spectrum_entropy(w):
         return float(-np.sum(nz * np.log2(nz)))
     logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
     return -np.sum(lam * logs, axis=-1)
+
+
+def _component_labels(nz: np.ndarray) -> np.ndarray:
+    """The smallest index of each index's connected component in the
+    symmetric pattern nz: every index takes the least label among its
+    neighbours and then its label's label, until no label changes."""
+    rows, cols = np.nonzero(nz)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    heads = rows[starts]
+    labels = np.arange(nz.shape[0])
+    while True:
+        new = labels.copy()
+        new[heads] = np.minimum(new[heads], np.minimum.reduceat(labels[cols], starts))
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, found block by block.
+
+    The blocks are the connected components of the nonzero pattern, which
+    a simultaneous permutation of rows and columns makes block diagonal;
+    an isolated zero row is a block of its own. The blocks of one size go
+    through one batched eigvalsh, and the spectrum comes block size by
+    block size, each block's eigenvalues ascending. A matrix below
+    SPARSE_MIN_DIM, or one whose pattern is a single component, gets
+    np.linalg.eigvalsh itself.
+    """
+    n = m.shape[0]
+    if n < SPARSE_MIN_DIM:
+        return np.linalg.eigvalsh(m)
+    nz = m != 0
+    nz |= nz.T
+    labels = _component_labels(nz)
+    _, block_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if len(sizes) == 1:
+        return np.linalg.eigvalsh(m)
+    size_of = sizes[block_of]
+    by_block = np.argsort(labels, kind="stable")  # indices of one block in a run
+    parts = []
+    for s in np.unique(sizes):
+        idx = by_block[size_of[by_block] == s].reshape(-1, s)
+        parts.append(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).ravel())
+    return np.concatenate(parts)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -45,7 +45,9 @@ def _loop_apply(ch, m):
 
 
 def _loop_complement(ch, m):
-    return np.array([[np.trace(ki @ m @ kj.conj().T) for kj in ch.kraus] for ki in ch.kraus])
+    # Tr(K_i m K_j^dag) as the Frobenius product <K_j, K_i m>, for all j at once
+    images = np.array([(ki @ m).ravel() for ki in ch.kraus])
+    return images @ ch.kraus.reshape(ch.n_kraus, -1).conj().T
 
 
 def _inputs(layout, rng):
@@ -358,8 +360,11 @@ def test_parse_rejects_garbage():
         lambda rng: _random_channel(rng, 3, 4, 5),
         lambda rng: _random_channel(rng, 7, 2, 6),
         lambda rng: main_channel(1, Fraction(1, 4), 2),
+        # outputs at and above qcore.SPARSE_MIN_DIM take the support-restricted product
+        lambda rng: _random_channel(rng, 2, 70, 5),
+        lambda rng: main_channel(1, Fraction(1, 4), 3),
     ],
-    ids=["random-3x4x5", "random-7x2x6", "main-1-1/4-2"],
+    ids=["random-3x4x5", "random-7x2x6", "main-1-1/4-2", "random-2x70x5", "main-1-1/4-3"],
 )
 def test_apply_matches_kraus_loop(make):
     rng = np.random.default_rng(11)
@@ -417,6 +422,30 @@ def test_trace_preservation_check_covers_every_block(monkeypatch):
             QuantumChannel(*layouts, bad)
 
 
+@pytest.mark.parametrize("side", ["stack", "complement view"])
+def test_trace_preservation_check_sees_a_late_block_of_a_sparse_stack(monkeypatch, side):
+    # main_channel(1, 1/4, 2): 38 Kraus operators of 64x8, mostly zero rows
+    ch = main_channel(1, Fraction(1, 4), 2)
+    monkeypatch.setattr(channels, "_GRAM_BLOCK", 8 * 8)  # under one operator per block
+    layouts = (ch.in_layout, ch.out_layout, ch.env_layout)
+    as_given = lambda k: k
+    if side == "complement view":
+        layouts = (ch.in_layout, ch.env_layout, ch.out_layout)
+        as_given = lambda k: k.swapaxes(0, 1)
+    # a read-only view of a read-only stack is checked and kept as it is
+    assert np.shares_memory(QuantumChannel(*layouts, as_given(ch.kraus)).kraus, ch.kraus)
+    nonzero = np.argwhere(np.abs(ch.kraus).sum(axis=2) > 0)  # (k, m) of every nonzero row
+    if side == "stack":
+        k, m = nonzero[nonzero[:, 0] == ch.n_kraus - 1][-1]  # in the last block
+    else:
+        k, m = nonzero[np.argmax(nonzero[:, 1])]  # in the complement's last nonzero block
+    bad = np.array(ch.kraus)
+    bad[k, m] *= 1.001
+    bad.setflags(write=False)
+    with pytest.raises(ChannelSpecError, match="not trace preserving"):
+        QuantumChannel(*layouts, as_given(bad))
+
+
 def test_builders_hand_over_their_fresh_stack(monkeypatch):
     handed = []
     post_init = QuantumChannel.__post_init__
@@ -436,6 +465,17 @@ def test_builders_hand_over_their_fresh_stack(monkeypatch):
         ch = build()
         assert np.shares_memory(handed[-1], ch.kraus)
         assert not ch.kraus.flags.writeable
+    # the complement's stack is a view of the channel's own
+    assert np.shares_memory(complementary(a).kraus, a.kraus)
+
+
+def test_rocket_rejects_a_large_pauli_output_before_building_the_pairs(monkeypatch):
+    def unbuilt(d, kind):
+        raise AssertionError("the pair list was built")
+
+    monkeypatch.setattr(channels, "unitary_pair_ensemble", unbuilt)
+    with pytest.raises(qcore.DimensionCapError, match="rocket output dimension 24300000"):
+        rocket_channel(30)
 
 
 @settings(max_examples=40, database=None, deadline=None)

@@ -146,9 +146,15 @@ def test_info_bad_state_matrix(capsys, tmp_path):
         # NaN passes every tolerance comparison, the CPTP check included
         {"kind": "kraus", "matrices": [[[[1, 0], [0, 0]], [[0, 0], [math.nan, 0]]]]},
         {"kind": "identity", "d": 3},  # a valid channel on the wrong input dimension
+        # a fractional d is rejected, not truncated to the 2 the state has
+        {"kind": "identity", "d": 2.7},
+        {"kind": "identity", "d": "2.5"},
+        # a document whose value is a string holding JSON is not decoded twice
+        json.dumps({"kind": "identity", "d": 2}),
     ],
     ids=["d-not-int", "d-infinite", "components-not-list", "no-factors", "matrices-not-list",
-         "empty-matrix", "nan-entry", "dimension-mismatch"],
+         "empty-matrix", "nan-entry", "dimension-mismatch", "d-fraction", "d-fraction-string",
+         "document-is-a-string"],
 )
 def test_malformed_channel_spec_exits_65(capsys, tmp_path, spec):
     chan = write_channel(tmp_path, spec)

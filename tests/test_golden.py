@@ -7,7 +7,10 @@ rounding or a formatting difference shows up here, where a run compared
 only with itself would not see it. The `info coherent` file for the d=3
 switch was recorded before `channels.apply` became the rank-factored
 kernel. The `verify all` files for seeds 1 and 2 were recorded before the
-brute-force objective took one batched spectrum per side.
+brute-force objective took one batched spectrum per side. The d=3
+`verify lower-bound` file, whose witness group has 972-dimensional
+outputs, was recorded before the spectra of large outputs were taken
+block by block and `apply` kept to the nonzero support.
 """
 
 import json
@@ -25,9 +28,11 @@ CASES = [
     (f"verify_all_seed{seed}.txt", ["verify", "all", "--seed", str(seed)]) for seed in (0, 1, 2)
 ] + [
     (
-        "verify_lower_bound_n2_d2_p1-4_uses3.txt",
-        ["verify", "lower-bound", "--n", "2", "--d", "2", "--p", "1/4", "--uses", "3"],
-    ),
+        f"verify_lower_bound_n2_d{d}_p1-4_uses3.txt",
+        ["verify", "lower-bound", "--n", "2", "--d", str(d), "--p", "1/4", "--uses", "3"],
+    )
+    for d in (2, 3)
+] + [
     ("sweep_locking_p1-2_d2-300.csv", ["sweep", "locking", "--p", "1/2", "--d", "2:300"]),
 ] + [
     (f"bounds_theorem_n{n}.csv", ["bounds", "theorem", "--n", str(n), "--format", "csv"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcap import qcore
@@ -166,6 +166,34 @@ def test_stacked_spectrum_entropy_is_bit_identical_to_rows(n):
     # any leading shape: one entropy per row
     cube = rows[:12].reshape(3, 4, n)
     np.testing.assert_array_equal(qcore.spectrum_entropy(cube), stacked[:12].reshape(3, 4))
+
+
+@settings(max_examples=60, database=None, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=14),
+    zero_rows=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[3] * 20 + [16], zero_rows=6, seed=0)  # many blocks above SPARSE_MIN_DIM
+@example(sizes=[70], zero_rows=0, seed=1)  # one block above it
+def test_block_spectrum_matches_eigvalsh(sizes, zero_rows, seed):
+    # a block-diagonal Hermitian matrix with isolated zero rows, its rows
+    # and columns shuffled by one permutation; totals fall on both sides
+    # of SPARSE_MIN_DIM
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + zero_rows
+    m = np.zeros((n, n), dtype=np.complex128)
+    start = 0
+    for s in sizes:
+        g = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        m[start : start + s, start : start + s] = (g + g.conj().T) / 2
+        start += s
+    perm = rng.permutation(n)
+    m = m[np.ix_(perm, perm)]
+    spectrum = qcore.hermitian_spectrum(m)
+    if n < qcore.SPARSE_MIN_DIM:
+        np.testing.assert_array_equal(spectrum, np.linalg.eigvalsh(m))
+    np.testing.assert_allclose(np.sort(spectrum), np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
 
 
 def test_spectrum_entropy_of_a_vector_is_a_float():
