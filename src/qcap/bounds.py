@@ -122,7 +122,7 @@ def locking_upper(p, d: int) -> float:
         raise ValueError(f"locking bound needs p <= 1/2, got {p}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    from .infoquant import gamma_d  # heavy import deferred; bounds stays light
+    from .infoquant import gamma_d  # deferred: it pulls in numpy; bounds stays light
 
     return (1.0 - float(p)) * math.log2(d) - float(p) * gamma_d(d) * math.log2(math.e)
 

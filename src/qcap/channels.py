@@ -573,18 +573,6 @@ def spec_to_channel(spec: ChannelSpec) -> QuantumChannel:
     raise ChannelSpecError(f"unknown spec kind {spec.kind!r}")
 
 
-def parse_channel_spec(text) -> QuantumChannel:
-    """Parse a JSON document (string or already-loaded object) to a channel."""
-    if isinstance(text, (str, bytes)):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChannelSpecError(f"invalid JSON: {exc}") from None
-    else:
-        obj = text
-    return spec_to_channel(json_to_spec(obj))
-
-
 def serialize_channel_spec(ch: QuantumChannel | ChannelSpec) -> str:
     """JSON text for a channel; falls back to a raw Kraus dump when the
     channel carries no declarative spec."""

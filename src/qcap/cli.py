@@ -5,12 +5,15 @@ diagnostics. Exit codes: 0 success, 2 a bound or property check failed,
 64 usage error, 65 malformed input data, 70 dimension cap exceeded.
 Identical flags and seed give byte-identical standard output. Heavy
 numeric imports happen inside the handlers that need them, so the exact
-rational commands start fast.
+rational commands start fast, and scipy loads only when a Nelder-Mead
+search runs. The argument parser is built once per process and reused by
+every `main` call; it keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,6 +62,7 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qcap", description=__doc__.splitlines()[0])
     parser.add_argument(

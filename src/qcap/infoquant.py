@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import as_fraction, qcore
 from . import channels as qch
@@ -206,6 +205,16 @@ def _structured_starts(ch: QuantumChannel, obj: _EnsembleObjective) -> list[np.n
             w = [1.0 if x < min(comp.in_dim, m) else 1e-3 for x in range(m)]
             starts.append(encode(idx, w))
     return starts
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first search. Importing
+    scipy takes longer than most commands take to run, so only a
+    Nelder-Mead search loads it. _multistart calls it through this module
+    attribute, which is where a tracer can wrap it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _multistart(obj, warm_starts: list[np.ndarray], cfg: OptimizerConfig):

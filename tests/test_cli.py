@@ -151,13 +151,18 @@ def test_info_bad_state_matrix(capsys, tmp_path):
         {"kind": "identity", "d": "2.5"},
         # a document whose value is a string holding JSON is not decoded twice
         json.dumps({"kind": "identity", "d": 2}),
+        b"{not json",  # bytes are the file's raw contents
     ],
     ids=["d-not-int", "d-infinite", "components-not-list", "no-factors", "matrices-not-list",
          "empty-matrix", "nan-entry", "dimension-mismatch", "d-fraction", "d-fraction-string",
-         "document-is-a-string"],
+         "document-is-a-string", "not-json"],
 )
 def test_malformed_channel_spec_exits_65(capsys, tmp_path, spec):
-    chan = write_channel(tmp_path, spec)
+    if isinstance(spec, bytes):
+        (tmp_path / "chan.json").write_bytes(spec)
+        chan = str(tmp_path / "chan.json")
+    else:
+        chan = write_channel(tmp_path, spec)
     state = write_state(tmp_path, [0.5, 0.5])
     code, out, err = run(capsys, "info", "coherent", "--channel", chan, "--state", state)
     assert code == 65
@@ -272,25 +277,92 @@ def test_info_on_fuzzed_input_files_exits_cleanly(quantity, channel, state, ense
     assert code in (0, 65, 70)
 
 
-def test_exact_lane_imports_no_numeric_module():
-    # bounds locking and sweep locking are left out: they import infoquant
-    # (and numpy and scipy with it) for gamma_d until gamma_d moves to bounds
-    script = (
-        "import contextlib, io, sys\n"
-        "from qcap import cli\n"
-        "argvs = (['bounds', 'theorem', '--n', '3'], ['bounds', 'conjecture', '--p', '11/24',"
-        " '--n', '13'], ['sweep', 'bounds', '--n', '3', '--k', '1:2'])\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(a) for a in argvs]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy', 'mpmath')))\n"
-    )
+def _subprocess_env():
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in os.environ.items() if k != "QCAP_DIM_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def _loaded_modules_after_each(argvs):
+    """Run cli.main on each argv in turn in one fresh interpreter; return,
+    per call, its exit code and the numpy, scipy and mpmath modules loaded
+    so far."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qcap import cli\n"
+        "seen = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    seen.append((code, sorted(m for m in sys.modules\n"
+        "                              if m.split('.')[0] in ('numpy', 'scipy', 'mpmath'))))\n"
+        "print(json.dumps(seen))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_subprocess_env(),
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0] []\n"
+    return json.loads(proc.stdout)
+
+
+def test_exact_lane_imports_no_numeric_module():
+    # bounds locking and sweep locking are left out: they import infoquant
+    # (and numpy with it) for gamma_d until gamma_d moves to bounds
+    seen = _loaded_modules_after_each(
+        [["bounds", "theorem", "--n", "3"], ["bounds", "conjecture", "--p", "11/24", "--n", "13"],
+         ["sweep", "bounds", "--n", "3", "--k", "1:2"]]
+    )
+    assert seen == [[0, []]] * 3
+
+
+def test_scipy_loads_only_for_a_nelder_mead_search(tmp_path):
+    chan = write_channel(tmp_path, {"kind": "erasure", "p": "1/4", "d": 2})
+    state = write_state(tmp_path, [0.5, 0.5])
+    seen = _loaded_modules_after_each(
+        [["bounds", "locking", "--p", "1/4", "--d", "5"],
+         ["sweep", "locking", "--p", "1/2", "--d", "2:64"],
+         ["info", "coherent", "--channel", chan, "--state", state],
+         ["verify", "lower-bound", "--n", "1", "--d", "2", "--uses", "2"],
+         ["verify", "lemma1"]]
+    )
+    assert [code for code, _ in seen] == [0] * 5
+    roots = [{m.split(".")[0] for m in modules} for _, modules in seen]
+    assert roots[1] == {"numpy"}  # the locking commands, for gamma_d
+    assert "scipy" not in roots[3]  # then info coherent and verify lower-bound
+    assert "scipy.optimize" in seen[4][1]  # verify lemma1 runs a search
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("QCAP_DIM_CAP", raising=False)
+    chan = write_channel(tmp_path, {"kind": "erasure", "p": "1/4", "d": 65})
+    state = write_state(tmp_path, [1.0 / 65] * 65)
+    coherent = ["info", "coherent", "--channel", chan, "--state", state]
+    argvs = [
+        ["bounds", "locking", "--p", "1/3", "--d", "5", "--format", "csv"],
+        ["bounds", "locking", "--p", "1/3", "--d", "5"],
+        ["verify", "lower-bound", "--p", "1/3", "--uses", "3"],
+        ["verify", "lower-bound"],
+        ["bounds", "locking", "--p", "1/3"],
+        ["bounds", "theorem", "--n", "3"],
+        ["--dim-cap", "64", *coherent],
+        coherent,
+    ]
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "qcap", *argv], capture_output=True, text=True,
+            env=_subprocess_env(), timeout=120,
+        )
+        for argv in argvs
+    ]
+    assert [p.returncode for p in fresh] == [0, 0, 0, 0, 64, 0, 70, 0]
+    assert json.loads(fresh[1].stdout)["d"] == 5  # JSON, the default format
+    assert "p=1/4 uses=2:" in fresh[3].stdout  # the defaults, not the previous call's flags
+    for argv, proc in zip(argvs, fresh):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_info_dimension_cap(capsys, tmp_path):
