@@ -5,9 +5,9 @@ diagnostics. Exit codes: 0 success, 2 a bound or property check failed,
 64 usage error, 65 malformed input data, 70 dimension cap exceeded.
 Identical flags and seed give byte-identical standard output. Heavy
 numeric imports happen inside the handlers that need them, so the exact
-rational commands start fast, and scipy loads only when a Nelder-Mead
-search runs. The argument parser is built once per process and reused by
-every `main` call; it keeps no state between calls.
+rational commands start fast; no command imports scipy. The argument
+parser is built once per process and reused by every `main` call; it
+keeps no state between calls.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,25 +109,25 @@ def private_value(ch: QuantumChannel, ens: CqEnsemble) -> InfoResult:
 
 
 class _EnsembleObjective:
-    """Fast objective over pure-state ensembles.
+    """Fast objective over pure-state ensembles, a batch of parameter
+    vectors at a time.
 
     Parameter vector: m*(2*din) reals for the m = din state vectors
     followed by m reals whose squares give the probability weights.
 
+    `value` maps a (B, n_params) batch to (B,) values in one einsum chain.
     Each side (Bob, and Eve for the private value) takes one eigvalsh call
-    on the stack [average output; the m member outputs] and one
-    spectrum_entropy call on the m+1 spectra it returns. While the output
-    and environment dimensions stay below 8 (6 and 6 for verify's lemma1
-    switch), every value equals the per-member sum of 1-D entropies bit
-    for bit.
+    on the stacked [average output; the m member outputs] of every row and
+    one spectrum_entropy call on the spectra it returns. Each row's value
+    is bit for bit the value of that row evaluated alone, and, while the
+    output and environment dimensions stay below 8 (6 and 6 for verify's
+    lemma1 switch), the per-member sum of 1-D entropies.
     """
 
     def __init__(self, ch: QuantumChannel, want_private: bool):
         self.kraus = ch.kraus
         self.in_layout = ch.in_layout
         self.din = ch.in_dim
-        self.dout = ch.out_dim
-        self.nk = ch.n_kraus
         self.m = ch.in_dim
         self.want_private = want_private
 
@@ -134,50 +135,54 @@ class _EnsembleObjective:
         return self.m * (2 * self.din + 1)
 
     def decode(self, theta: np.ndarray):
+        """(unit vectors (B, m, din), probabilities (B, m), ok (B,)) of a
+        (B, n_params) batch. A row with a vector of norm below 1e-8 or
+        weights summing below 1e-12 has ok False; it is divided by ones,
+        so its entries are finite and no warning is raised."""
         m, d = self.m, self.din
-        z = theta[: 2 * m * d].reshape(m, 2, d)
-        vecs = z[:, 0, :] + 1j * z[:, 1, :]
-        norms = np.linalg.norm(vecs, axis=1)
-        if np.min(norms) < 1e-8:
-            return None
-        vecs = vecs / norms[:, None]
-        w = theta[2 * m * d :] ** 2
-        tot = float(np.sum(w))
-        if tot < 1e-12:
-            return None
-        return vecs, w / tot
+        z = theta[:, : 2 * m * d].reshape(-1, m, 2, d)
+        vecs = z[:, :, 0, :] + 1j * z[:, :, 1, :]
+        norms = np.linalg.norm(vecs, axis=2)
+        w = theta[:, 2 * m * d :] ** 2
+        tot = np.sum(w, axis=1)
+        ok = ~(np.min(norms, axis=1) < 1e-8) & ~(tot < 1e-12)
+        vecs = vecs / np.where(ok[:, None], norms, 1.0)[:, :, None]
+        return vecs, w / np.where(ok, tot, 1.0)[:, None], ok
 
     @staticmethod
-    def _holevo_stack(probs: np.ndarray, outs: np.ndarray, avg: np.ndarray) -> float:
-        """H(avg) - sum_x p_x H(outs[x]) from one batched spectrum."""
-        h = qcore.spectrum_entropy(np.linalg.eigvalsh(np.concatenate([avg[None], outs])))
-        return float(h[0]) - float(np.sum(probs * h[1:]))
+    def _holevo_stack(probs: np.ndarray, outs: np.ndarray, avg: np.ndarray) -> np.ndarray:
+        """H(avg) - sum_x p_x H(outs[x]) per row, from one batched spectrum."""
+        h = qcore.spectrum_entropy(np.linalg.eigvalsh(np.concatenate([avg[:, None], outs], axis=1)))
+        return h[:, 0] - np.sum(probs * h[:, 1:], axis=1)
 
-    def value(self, theta: np.ndarray) -> float:
-        dec = self.decode(theta)
-        if dec is None:
-            return -1e3
-        vecs, probs = dec
-        # images[x] = stack of K_k |psi_x>, from which both Bob's output
-        # (sum over k of outer products) and Eve's output (Gram in k) follow
-        images = np.einsum("kab,xb->xka", self.kraus, vecs)
-        bob = np.einsum("xka,xkb->xab", images, images.conj())
-        avg_b = np.einsum("x,xab->ab", probs, bob)
-        ixb = self._holevo_stack(probs, bob, avg_b)
-        if not self.want_private:
-            return ixb
-        eve = np.einsum("xka,xla->xkl", images, images.conj())
-        avg_e = np.einsum("x,xkl->kl", probs, eve)
-        return ixb - self._holevo_stack(probs, eve, avg_e)
+    def value(self, theta: np.ndarray) -> np.ndarray:
+        """Objective of each row of a (B, n_params) batch; -1e3 where the
+        row does not decode."""
+        vecs, probs, ok = self.decode(theta)
+        out = np.full(len(theta), -1e3)
+        vecs, probs = vecs[ok], probs[ok]
+        # images[y, x] = stack of K_k |psi_x> of row y, from which both Bob's
+        # output (sum over k of outer products) and Eve's output (Gram in k)
+        # follow
+        images = np.einsum("kab,yxb->yxka", self.kraus, vecs)
+        bob = np.einsum("yxka,yxkb->yxab", images, images.conj())
+        avg_b = np.einsum("yx,yxab->yab", probs, bob)
+        val = self._holevo_stack(probs, bob, avg_b)
+        if self.want_private:
+            eve = np.einsum("yxka,yxla->yxkl", images, images.conj())
+            avg_e = np.einsum("yx,yxkl->ykl", probs, eve)
+            val = val - self._holevo_stack(probs, eve, avg_e)
+        out[ok] = val
+        return out
 
     def to_ensemble(self, theta: np.ndarray) -> CqEnsemble:
-        vecs, probs = self.decode(theta)
+        vecs, probs, _ = self.decode(theta[None])
         lay = self.in_layout
         items = []
         for x in range(self.m):
-            if probs[x] < 1e-12:
+            if probs[0, x] < 1e-12:
                 continue
-            items.append((probs[x], PureState(lay, vecs[x]).to_density()))
+            items.append((probs[0, x], PureState(lay, vecs[0, x]).to_density()))
         total = sum(p for p, _ in items)
         return CqEnsemble(tuple((p / total, rho) for p, rho in items))
 
@@ -207,39 +212,122 @@ def _structured_starts(ch: QuantumChannel, obj: _EnsembleObjective) -> list[np.n
     return starts
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on the first search. Importing
-    scipy takes longer than most commands take to run, so only a
-    Nelder-Mead search loads it. _multistart calls it through this module
-    attribute, which is where a tracer can wrap it."""
-    from scipy.optimize import minimize as scipy_minimize
+class SimplexResult(NamedTuple):
+    """Per-start minimizers x (B, N) and minima fun (B,) of one lockstep
+    search, and the objective evaluations nfev summed over the starts."""
 
-    return scipy_minimize(fun, x0, **kwargs)
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+
+
+def minimize(fun, x0s: np.ndarray, maxiter: int) -> SimplexResult:
+    """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 2012) from
+    each row of x0s, all starts advancing in lockstep.
+
+    `fun` maps a (k, N) batch of points to (k,) values. Each start follows
+    scipy.optimize.minimize(method="Nelder-Mead", options={"maxiter":
+    maxiter, "xatol": 1e-7, "fatol": 1e-10, "adaptive": True}) step for
+    step, in the same arithmetic and order (its initial simplex, the two
+    sorts after the first evaluation, the convergence test before each
+    iteration), so its x, fun and nfev are scipy's bit for bit as long as
+    `fun` values a row the same in any batch.
+
+    An iteration makes at most three calls of `fun`: the reflections of
+    every live start; the expansion, outside or inside contraction point
+    that each start's reflected value picks; the shrunk vertices of the
+    starts that shrink. A start leaves the batch when it converges; every
+    start stops after maxiter - 1 iterations. _multistart calls this
+    through the module attribute, which is where a tracer can wrap it.
+    """
+    x0s = np.array(x0s, dtype=float)
+    B, N = x0s.shape
+    rho, chi, psi, sigma = 1, 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    nonzdelt, zdelt = 0.05, 0.00025
+    xatol, fatol = 1e-7, 1e-10
+
+    sim = np.repeat(x0s[:, None, :], N + 1, axis=1)
+    diag = np.arange(N)
+    sim[:, diag + 1, diag] = np.where(x0s != 0, (1 + nonzdelt) * x0s, zdelt)
+    fsim = fun(sim.reshape(-1, N)).reshape(B, N + 1)
+    nfev = B * (N + 1)
+
+    def order(s, f):
+        ind = np.argsort(f, axis=1)
+        return np.take_along_axis(s, ind[:, :, None], axis=1), np.take_along_axis(f, ind, axis=1)
+
+    sim, fsim = order(*order(sim, fsim))
+
+    x, fmin = np.empty((B, N)), np.empty(B)
+    live = np.arange(B)
+    iterations = 1
+    while True:
+        if iterations < maxiter:
+            stop = (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol) & (
+                np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol
+            )
+        else:
+            stop = np.ones(len(live), dtype=bool)
+        if stop.any():
+            x[live[stop]], fmin[live[stop]] = sim[stop, 0], np.min(fsim[stop], axis=1)
+            live, sim, fsim = live[~stop], sim[~stop], fsim[~stop]
+            if not len(live):
+                return SimplexResult(x, fmin, nfev)
+
+        # scipy's expressions term for term, so every product rounds alike
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        worst = sim[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = fun(xr)
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~accept & (fxr < fsim[:, -1])
+        inside = ~expand & ~accept & ~outside
+        second = ~accept
+        pts = np.empty_like(xr)
+        pts[expand] = (1 + rho * chi) * xbar[expand] - rho * chi * worst[expand]
+        pts[outside] = (1 + psi * rho) * xbar[outside] - psi * rho * worst[outside]
+        pts[inside] = (1 - psi) * xbar[inside] + psi * worst[inside]
+        f2 = np.full(len(live), np.inf)
+        if second.any():
+            f2[second] = fun(pts[second])
+        nfev += len(live) + int(np.count_nonzero(second))
+
+        took_2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
+        took_r = accept | (expand & ~took_2)
+        shrink = second & ~expand & ~took_2
+        sim[took_r, -1], fsim[took_r, -1] = xr[took_r], fxr[took_r]
+        sim[took_2, -1], fsim[took_2, -1] = pts[took_2], f2[took_2]
+        if shrink.any():
+            best = sim[shrink, :1]
+            shrunk = best + sigma * (sim[shrink, 1:] - best)
+            sim[shrink, 1:] = shrunk
+            fsim[shrink, 1:] = fun(shrunk.reshape(-1, N)).reshape(-1, N)
+            nfev += N * int(np.count_nonzero(shrink))
+        iterations += 1
+        sim, fsim = order(sim, fsim)
+
+
+def _starting_points(obj, warm_starts: list[np.ndarray], cfg: OptimizerConfig) -> np.ndarray:
+    """The (cfg.restarts, n_params) starts of a search: the warm starts
+    first, then standard-normal draws, restart r drawing from stream r of
+    SeedSequence(cfg.seed)."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    return np.stack([
+        warm_starts[r] if r < len(warm_starts)
+        else np.random.default_rng(stream).standard_normal(obj.n_params())
+        for r, stream in enumerate(streams)
+    ])
 
 
 def _multistart(obj, warm_starts: list[np.ndarray], cfg: OptimizerConfig):
-    """Maximize obj.value by adaptive Nelder-Mead from cfg.restarts starts:
-    the warm starts first, then standard-normal draws, restart r drawing
-    from stream r of SeedSequence(cfg.seed). Returns (best value, its
-    parameters); ties keep the earlier restart."""
-    neg = lambda t: -obj.value(t)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best_val, best_theta = -np.inf, None
-    for r, stream in enumerate(streams):
-        if r < len(warm_starts):
-            x0 = warm_starts[r]
-        else:
-            x0 = np.random.default_rng(stream).standard_normal(obj.n_params())
-        res = minimize(
-            neg,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.iterations, "xatol": 1e-7, "fatol": 1e-10, "adaptive": True},
-        )
-        val = -float(res.fun)
-        if val > best_val:
-            best_val, best_theta = val, res.x
-    return best_val, best_theta
+    """Maximize obj.value by adaptive Nelder-Mead from the starting points,
+    run as one lockstep search. Returns (best value, its parameters); ties
+    keep the earlier restart."""
+    x0s = _starting_points(obj, warm_starts, cfg)
+    res = minimize(lambda t: -obj.value(t), x0s, cfg.iterations)
+    best = int(np.argmax(-res.fun))
+    return -float(res.fun[best]), res.x[best]
 
 
 def _search(ch: QuantumChannel, cfg: OptimizerConfig, want_private: bool):

@@ -317,21 +317,21 @@ def test_exact_lane_imports_no_numeric_module():
     assert seen == [[0, []]] * 3
 
 
-def test_scipy_loads_only_for_a_nelder_mead_search(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     chan = write_channel(tmp_path, {"kind": "erasure", "p": "1/4", "d": 2})
     state = write_state(tmp_path, [0.5, 0.5])
-    seen = _loaded_modules_after_each(
-        [["bounds", "locking", "--p", "1/4", "--d", "5"],
-         ["sweep", "locking", "--p", "1/2", "--d", "2:64"],
-         ["info", "coherent", "--channel", chan, "--state", state],
-         ["verify", "lower-bound", "--n", "1", "--d", "2", "--uses", "2"],
-         ["verify", "lemma1"]]
-    )
-    assert [code for code, _ in seen] == [0] * 5
+    argvs = [["bounds", "locking", "--p", "1/4", "--d", "5"],
+             ["sweep", "locking", "--p", "1/2", "--d", "2:64"],
+             ["info", "coherent", "--channel", chan, "--state", state],
+             ["verify", "lower-bound", "--n", "1", "--d", "2", "--uses", "2"],
+             ["verify", "lemma1"],
+             ["verify", "all", "--seed", "0"]]
+    seen = _loaded_modules_after_each(argvs)
+    assert [code for code, _ in seen] == [0] * len(argvs)
     roots = [{m.split(".")[0] for m in modules} for _, modules in seen]
     assert roots[1] == {"numpy"}  # the locking commands, for gamma_d
-    assert "scipy" not in roots[3]  # then info coherent and verify lower-bound
-    assert "scipy.optimize" in seen[4][1]  # verify lemma1 runs a search
+    # the Nelder-Mead searches of verify lemma1 and verify all are in-house
+    assert [r for r in roots if "scipy" in r] == []
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path, monkeypatch):

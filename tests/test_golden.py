@@ -10,7 +10,9 @@ kernel. The `verify all` files for seeds 1 and 2 were recorded before the
 brute-force objective took one batched spectrum per side. The d=3
 `verify lower-bound` file, whose witness group has 972-dimensional
 outputs, was recorded before the spectra of large outputs were taken
-block by block and `apply` kept to the nonzero support.
+block by block and `apply` kept to the nonzero support. Every `verify
+all` file was recorded while the Nelder-Mead restarts still ran one by one
+through scipy, before they ran as one lockstep search.
 """
 
 import json

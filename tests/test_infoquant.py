@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcap import infoquant as iq
-from qcap import qcore
+from qcap import qcore, verify
 from qcap.channels import (
     CqEnsemble,
     erasure_channel,
@@ -90,12 +90,18 @@ def test_brute_force_c1_erasure():
 
 
 def _reference_objective(obj, theta):
-    """The ensemble objective as one eigvalsh and one 1-D spectrum_entropy
-    per matrix: the form the batched objective must reproduce bit for bit."""
-    dec = obj.decode(theta)
-    if dec is None:
+    """The ensemble objective of one parameter vector, decoded alone, with
+    one eigvalsh and one 1-D spectrum_entropy per matrix: the form each row
+    of the batched objective must reproduce bit for bit."""
+    m, d = obj.m, obj.din
+    z = theta[: 2 * m * d].reshape(m, 2, d)
+    vecs = z[:, 0, :] + 1j * z[:, 1, :]
+    norms = np.linalg.norm(vecs, axis=1)
+    w = theta[2 * m * d :] ** 2
+    tot = float(np.sum(w))
+    if np.min(norms) < 1e-8 or tot < 1e-12:
         return -1e3
-    vecs, probs = dec
+    vecs, probs = vecs / norms[:, None], w / tot
     images = np.einsum("kab,xb->xka", obj.kraus, vecs)
 
     def holevo(outs, avg):
@@ -111,15 +117,15 @@ def _reference_objective(obj, theta):
     return ixb - holevo(eve, np.einsum("x,xkl->kl", probs, eve))
 
 
+LEMMA1_SWITCH = switch_channel(
+    [erasure_channel(Fraction(1, 10), 2), erasure_channel(Fraction(2, 5), 2)]
+)
+
+
 @pytest.mark.parametrize("want_private", [True, False])
 @pytest.mark.parametrize(
     "ch",
-    [
-        switch_channel(
-            [erasure_channel(Fraction(1, 10), 2), erasure_channel(Fraction(2, 5), 2)]
-        ),
-        erasure_channel(Fraction(1, 4), 2),
-    ],
+    [LEMMA1_SWITCH, erasure_channel(Fraction(1, 4), 2)],
     ids=["lemma1-switch", "erasure-1/4"],
 )
 def test_ensemble_objective_is_bit_identical_to_per_member_loop(ch, want_private):
@@ -129,14 +135,74 @@ def test_ensemble_objective_is_bit_identical_to_per_member_loop(ch, want_private
         rng.standard_normal(obj.n_params()) * rng.choice([1e-3, 1.0, 30.0])
         for _ in range(400)
     ]
-    mismatches = [i for i, t in enumerate(thetas) if obj.value(t) != _reference_objective(obj, t)]
-    assert mismatches == []
-    assert all(type(obj.value(t)) is float for t in thetas[:5])
-    # the decode-failure sentinel: all-zero vectors, then all-zero weights
-    assert obj.value(np.zeros(obj.n_params())) == -1e3
+    # the decode-failure sentinels, all-zero vectors and all-zero weights,
+    # sit between ordinary rows of the same batch
     zero_weights = thetas[0].copy()
     zero_weights[2 * obj.m * obj.din :] = 0.0
-    assert obj.value(zero_weights) == -1e3
+    sentinels = {3: np.zeros(obj.n_params()), 7: zero_weights}
+    for i, theta in sentinels.items():
+        thetas.insert(i, theta)
+    got = obj.value(np.stack(thetas))
+    assert got.shape == (len(thetas),) and got.dtype == np.float64
+    assert [got[i] for i in sentinels] == [-1e3, -1e3]
+    mismatches = [i for i, t in enumerate(thetas) if got[i] != _reference_objective(obj, t)]
+    assert mismatches == []
+
+
+def _assert_matches_scipy(res, fun, x0s, iterations):
+    """Each start of the lockstep search `res` against scipy's adaptive
+    Nelder-Mead on the scalar `fun` from the same start: x and fun bit for
+    bit, and the evaluations summed over the starts."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    ref = [
+        minimize(fun, x0, method="Nelder-Mead",
+                 options={"maxiter": iterations, "xatol": 1e-7, "fatol": 1e-10, "adaptive": True})
+        for x0 in x0s
+    ]
+    assert res.x.shape == x0s.shape and res.fun.shape == (len(x0s),)
+    assert [r for r, s in enumerate(ref) if not np.array_equal(s.x, res.x[r])] == []
+    assert [r for r, s in enumerate(ref) if float(s.fun) != res.fun[r]] == []
+    assert type(res.nfev) is int and res.nfev == sum(s.nfev for s in ref)
+    return ref
+
+
+LOCKSTEP_CASES = {
+    f"lemma1-seed{s}": (LEMMA1_SWITCH, True, iq.OptimizerConfig(10, 500, verify._child_seed(s, 1)))
+    for s in range(4)
+} | {
+    "erasure-1/2": (erasure_channel(Fraction(1, 2), 2), True, iq.OptimizerConfig(6, 400, 0)),
+    "holevo-bob": (LEMMA1_SWITCH, False, iq.OptimizerConfig(4, 300, 7)),
+    "one-iteration": (LEMMA1_SWITCH, True, iq.OptimizerConfig(5, 1, 3)),
+    "zero-start": (erasure_channel(Fraction(1, 4), 2), True, iq.OptimizerConfig(3, 200, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+def test_lockstep_nelder_mead_is_bit_identical_to_scipy(case):
+    ch, want_private, cfg = LOCKSTEP_CASES[case]
+    obj = iq._EnsembleObjective(ch, want_private)
+    x0s = iq._starting_points(obj, iq._structured_starts(ch, obj), cfg)
+    if case == "zero-start":
+        # an all-zero start puts decode-failure rows into the first batches
+        x0s = np.concatenate([x0s, np.zeros((1, obj.n_params()))])
+    res = iq.minimize(lambda t: -obj.value(t), x0s, cfg.iterations)
+    ref = _assert_matches_scipy(res, lambda t: -_reference_objective(obj, t), x0s, cfg.iterations)
+    if case == "erasure-1/2":
+        # starts leave the batch early, and some shrink (N evaluations in
+        # one iteration, beyond the one or two every iteration makes)
+        n = obj.n_params()
+        assert min(s.nit for s in ref) < cfg.iterations
+        assert any(s.nfev > n + 1 + 2 * s.nit for s in ref)
+
+
+def test_lockstep_nelder_mead_breaks_ties_as_scipy_does():
+    # a staircase: reflected, contracted and vertex values tie often, so
+    # the strictness of each comparison decides the path
+    def stairs(x):
+        return np.floor(np.sum(np.abs(x), axis=-1))
+
+    x0s = np.random.default_rng(3).standard_normal((30, 3)) * 5
+    _assert_matches_scipy(iq.minimize(stairs, x0s, 200), stairs, x0s, 200)
 
 
 def test_brute_force_rejects_large_inputs():
