@@ -13,6 +13,7 @@ keeps no state between calls.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -274,13 +275,9 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep bounds needs --n >= 2")
     lo, hi = args.k
     report = bounds.theorem_report(args.n)
-    rows = [r for r in report.rows if lo <= r.k <= hi]
-    lines = report.to_csv().splitlines()
-    sys.stdout.write(lines[0] + "\n")
-    for row, line in zip(report.rows, lines[1:]):
-        if lo <= row.k <= hi:
-            sys.stdout.write(line + "\n")
-    return EXIT_OK if all(r.ok for r in rows) else EXIT_CHECK_FAILED
+    report = dataclasses.replace(report, rows=tuple(r for r in report.rows if lo <= r.k <= hi))
+    sys.stdout.write(report.to_csv())
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

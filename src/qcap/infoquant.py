@@ -201,13 +201,12 @@ def _structured_starts(ch: QuantumChannel, obj: _EnsembleObjective) -> list[np.n
         return theta
 
     starts = [encode([x % d for x in range(m)], [1.0] * m)]
-    comps = qch.switch_components(ch)
-    if comps:
-        flag_dim = len(comps)
-        data_dim = d // flag_dim
-        for c, comp in enumerate(comps):
+    if ch.spec is not None and ch.spec.kind == "switch":
+        flag_dim = len(ch.spec.components)
+        data_dim = d // flag_dim  # every component's input dimension
+        for c in range(flag_dim):
             idx = [c * data_dim + (x % data_dim) for x in range(m)]
-            w = [1.0 if x < min(comp.in_dim, m) else 1e-3 for x in range(m)]
+            w = [1.0 if x < min(data_dim, m) else 1e-3 for x in range(m)]
             starts.append(encode(idx, w))
     return starts
 
@@ -528,75 +527,43 @@ def gamma_d(d: int) -> float:
     return math.log(d) - hi
 
 
-def _subentropy_sum(lam, dim: int, log2) -> float:
-    """-sum_k [lam_k^dim / prod_{j!=k}(lam_k - lam_j)] log2(lam_k) over the
-    positive lam_k, in the arithmetic of lam's entries and `log2`."""
-    q = 0
-    for k, lk in enumerate(lam):
-        if lk <= 0:
-            continue
-        denom = 1
-        for j, lj in enumerate(lam):
-            if j != k:
-                denom *= lk - lj
-        q -= (lk**dim / denom) * log2(lk)
-    return q
-
-
 def subentropy(rho: DensityOperator) -> float:
-    """Closed-form subentropy of the spectrum, in bits.
+    """Subentropy of the spectrum, in bits (Jozsa, Robb & Wootters, PRA 49, 668).
 
-    Q = -sum_k [lam_k^d / prod_{j!=k}(lam_k - lam_j)] log2 lam_k over the
-    nonzero eigenvalues; exact zeros only shrink the numerators. Degenerate
-    spectra are evaluated by a symmetric epsilon-ladder perturbation at
-    eps and eps/2 with a Richardson step, in high precision so the near
-    cancellations are harmless.
+    Q = -g[lam_1, ..., lam_d], the divided difference of g(x) = x^d log2 x
+    over the d eigenvalues, from one Newton table. Where a node repeats the
+    table takes the Taylor coefficient g^(k)(x)/k! =
+    C(d,k) x^(d-k) (log2 x + (H_d - H_(d-k)) log2 e), which is 0 at x = 0
+    for every order k < d. Eigenvalues below 1e-12 count as 0, and runs of
+    nonzero eigenvalues less than 1e-9 apart merge into one node at their
+    mean, so a degenerate spectrum needs no second code path.
     """
     w = np.linalg.eigvalsh(rho.matrix)
     dim = len(w)
-    lam = [0.0 if x < 1e-12 else min(float(x), 1.0) for x in w]
-    nonzero = sorted(x for x in lam if x > 0.0)
-    degenerate = any(
-        b - a < 1e-9 for a, b in zip(nonzero, nonzero[1:])
-    )
-    if not degenerate:
-        q = _subentropy_sum(lam, dim, math.log2)
-    else:
-        import mpmath as mp
+    lam = sorted(0.0 if x < 1e-12 else min(x, 1.0) for x in w.tolist())
+    nodes, start = [], 0
+    for i in range(1, dim + 1):
+        if i == dim or lam[i - 1] == 0.0 or lam[i] - lam[i - 1] >= 1e-9:
+            nodes += [sum(lam[start:i]) / (i - start)] * (i - start)
+            start = i
+    shift = [0.0]  # (H_d - H_(d-k)) log2 e for k = 0 .. d-1
+    for t in range(dim, 1, -1):
+        shift.append(shift[-1] + math.log2(math.e) / t)
 
-        with mp.workdps(60):
-            eps = mp.mpf("1e-7")
+    def taylor(x: float, k: int) -> float:
+        if x == 0.0:
+            return 0.0
+        return math.comb(dim, k) * x ** (dim - k) * (math.log2(x) + shift[k])
 
-            def perturbed(scale):
-                out = [mp.mpf(x) for x in lam]
-                i = 0
-                vals = sorted(range(len(lam)), key=lambda t: lam[t])
-                while i < len(vals):
-                    grp = [vals[i]]
-                    while (
-                        i + 1 < len(vals)
-                        and lam[vals[i + 1]] > 0
-                        and lam[vals[i]] > 0
-                        and lam[vals[i + 1]] - lam[vals[i]] < 1e-9
-                    ):
-                        i += 1
-                        grp.append(vals[i])
-                    if len(grp) > 1 and lam[grp[0]] > 0:
-                        c = len(grp)
-                        for t, idx in enumerate(grp):
-                            out[idx] += scale * (t - (c - 1) / mp.mpf(2))
-                    i += 1
-                return out
-
-            log2 = lambda x: mp.log(x) / mp.log(2)
-            q1 = _subentropy_sum(perturbed(eps), dim, log2)
-            q2 = _subentropy_sum(perturbed(eps / 2), dim, log2)
-            if abs(q1 - q2) > 1e-5:
-                raise ArithmeticError(
-                    f"subentropy perturbation did not converge: {q1} vs {q2}"
-                )
-            q = float((4 * q2 - q1) / 3)
-    if -1e-9 < q < 0.0:
+    # table[i] holds g[nodes[i-k] .. nodes[i]] after pass k; the nodes are
+    # sorted, so equal ends mean every node between them is equal too
+    table = [taylor(x, 0) for x in nodes]
+    for k in range(1, dim):
+        for i in range(dim - 1, k - 1, -1):
+            a, b = nodes[i - k], nodes[i]
+            table[i] = taylor(b, k) if a == b else (table[i] - table[i - 1]) / (b - a)
+    q = -table[-1]
+    if -1e-9 < q <= 0.0:
         q = 0.0
     return q
 

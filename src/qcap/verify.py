@@ -17,8 +17,6 @@ import numpy as np
 
 from . import as_fraction, bounds, channels as qch, fmt9, infoquant as iq, qcore
 
-SUITE_NAMES = ("lemma1", "lemma2-appendix", "lemma3", "lower-bound")
-
 
 @dataclass(frozen=True)
 class Check:

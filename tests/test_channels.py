@@ -22,7 +22,6 @@ from qcap.channels import (
     serialize_channel_spec,
     spec_to_channel,
     switch_channel,
-    switch_components,
     tensor_channels,
     tensor_power,
     unitary_pair_ensemble,
@@ -185,9 +184,9 @@ def test_switch_channel_structure():
     assert sw.out_layout.dims == (2, 3)
     assert sw.n_kraus == a.n_kraus + b.n_kraus
     _assert_cptp(sw)
-    comps = switch_components(sw)
+    comps = sw.spec.components
     assert len(comps) == 2
-    np.testing.assert_allclose(comps[0].kraus, a.kraus, atol=1e-12)
+    np.testing.assert_allclose(spec_to_channel(comps[0]).kraus, a.kraus, atol=1e-12)
     with pytest.raises(ChannelSpecError):
         switch_channel([a])
     with pytest.raises(ChannelSpecError):
@@ -251,8 +250,8 @@ def test_main_channel_wiring():
     assert ch.in_layout.dims == (2, 2, 2)
     assert ch.out_layout.dims == (2, 32)
     _assert_cptp(ch)
-    comps = switch_components(ch)
-    assert comps[0].spec.kind == "rocket" or comps[0].spec.kind == "tensor"
+    comps = ch.spec.components
+    assert comps[0].kind == "rocket" or comps[0].kind == "tensor"
 
 
 def test_ensemble_validation():

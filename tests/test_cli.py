@@ -317,7 +317,7 @@ def test_exact_lane_imports_no_numeric_module():
     assert seen == [[0, []]] * 3
 
 
-def test_no_command_loads_scipy(tmp_path):
+def test_no_command_loads_scipy_or_mpmath(tmp_path):
     chan = write_channel(tmp_path, {"kind": "erasure", "p": "1/4", "d": 2})
     state = write_state(tmp_path, [0.5, 0.5])
     argvs = [["bounds", "locking", "--p", "1/4", "--d", "5"],
@@ -330,8 +330,9 @@ def test_no_command_loads_scipy(tmp_path):
     assert [code for code, _ in seen] == [0] * len(argvs)
     roots = [{m.split(".")[0] for m in modules} for _, modules in seen]
     assert roots[1] == {"numpy"}  # the locking commands, for gamma_d
-    # the Nelder-Mead searches of verify lemma1 and verify all are in-house
-    assert [r for r in roots if "scipy" in r] == []
+    # the Nelder-Mead searches of verify lemma1 and verify all are in-house,
+    # and so is the subentropy of degenerate spectra in verify all
+    assert [r for r in roots if "scipy" in r or "mpmath" in r] == []
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path, monkeypatch):

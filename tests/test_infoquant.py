@@ -223,6 +223,9 @@ def test_subentropy_values():
     for d in (2, 3, 4):
         expect = math.log2(d) - (float(iq.harmonic(d)) - 1.0) * LOG2E
         assert iq.subentropy(max_mixed(d)) == pytest.approx(expect, abs=1e-6)
+    # ... = gamma_d log2 e, since gamma_d = ln d - (H_d - 1)
+    for d in range(2, 7):
+        assert iq.subentropy(max_mixed(d)) == pytest.approx(iq.gamma_d(d) * LOG2E, abs=1e-13)
     assert iq.subentropy(basis_state(4, 2).to_density()) == 0.0
 
 
@@ -238,6 +241,42 @@ def test_subentropy_distinct_spectrum():
         for k in range(3)
     )
     assert iq.subentropy(rho) == pytest.approx(expect, abs=1e-12)
+
+
+def _subentropy_oracle(spectrum) -> float:
+    """-sum_k lam_k^d / prod_{j!=k}(lam_k - lam_j) log2 lam_k over the nonzero
+    lam_k, in mpmath, each run of equal nonzero eigenvalues split into steps
+    of 1e-30 about its value; the split moves Q by about 1e-60. A run of c
+    nodes cancels about 30(c - 1) digits, so the precision is 80 digits
+    beyond that."""
+    mp = pytest.importorskip("mpmath")
+    d = len(spectrum)
+    with mp.workdps(80 + 30 * d):
+        lam = []
+        for x in sorted(set(spectrum)):
+            c = spectrum.count(x)
+            step = mp.mpf("1e-30") if x > 0 else 0
+            lam += [mp.mpf(x) + step * (t - mp.mpf(c - 1) / 2) for t in range(c)]
+        q = -sum(
+            lk**d / mp.fprod(lk - lj for j, lj in enumerate(lam) if j != k) * mp.log(lk, 2)
+            for k, lk in enumerate(lam)
+            if lk > 0
+        )
+        return float(q)
+
+
+_ORACLE_SPECTRA = {
+    **{f"I/{d}": [1.0 / d] * d for d in range(2, 7)},
+    "(.4,.4,.1,.1)": [0.4, 0.4, 0.1, 0.1],
+    "(.3,.3,.3,.1,0)": [0.3, 0.3, 0.3, 0.1, 0.0],
+    "pair-5e-10-apart": [0.3 + 2.5e-10, 0.3 - 2.5e-10, 0.25, 0.15],
+}
+
+
+@pytest.mark.parametrize("spectrum", _ORACLE_SPECTRA.values(), ids=_ORACLE_SPECTRA.keys())
+def test_subentropy_matches_high_precision_oracle(spectrum):
+    rho = DensityOperator(SystemLayout((len(spectrum),)), np.diag(spectrum).astype(complex))
+    assert iq.subentropy(rho) == pytest.approx(_subentropy_oracle(spectrum), abs=1e-12)
 
 
 def test_subentropy_zero_padding_invariance():
