@@ -358,7 +358,6 @@ def rocket_channel(d: int, ensemble: str = "pauli") -> QuantumChannel:
         check_dim(d**5, "rocket output")
     pairs = unitary_pair_ensemble(d, ensemble)
     nr = len(pairs)
-    check_dim(nr * d, "rocket output")
     w = cmath.exp(2j * math.pi / d)
     dephase = np.diag(
         np.array([w ** (i * j) for i in range(d) for j in range(d)], dtype=np.complex128)

@@ -219,13 +219,13 @@ def test_optimizer_config_validation():
 
 
 def test_subentropy_values():
-    # Q(I/d) = log2 d - (H_d - 1) log2 e, from the mean measured entropy
-    for d in (2, 3, 4):
-        expect = math.log2(d) - (float(iq.harmonic(d)) - 1.0) * LOG2E
-        assert iq.subentropy(max_mixed(d)) == pytest.approx(expect, abs=1e-6)
-    # ... = gamma_d log2 e, since gamma_d = ln d - (H_d - 1)
+    # Q(I/d) = log2 d - (H_d - 1) log2 e, from the mean measured entropy,
+    # = gamma_d log2 e, since gamma_d = ln d - (H_d - 1)
     for d in range(2, 7):
-        assert iq.subentropy(max_mixed(d)) == pytest.approx(iq.gamma_d(d) * LOG2E, abs=1e-13)
+        q = iq.subentropy(max_mixed(d))
+        expect = math.log2(d) - (float(iq.harmonic(d)) - 1.0) * LOG2E
+        assert q == pytest.approx(expect, abs=1e-6)
+        assert q == pytest.approx(iq.gamma_d(d) * LOG2E, abs=1e-13)
     assert iq.subentropy(basis_state(4, 2).to_density()) == 0.0
 
 
