@@ -1,25 +1,26 @@
-"""CPTP maps as Kraus families, their canonical complements, and the
-switched rocket/erasure constructions, plus a JSON channel-spec format.
+"""CPTP maps as direct sums of Kraus blocks, their canonical complements,
+and the switched rocket/erasure constructions, plus a JSON channel-spec
+format.
 
-A channel is an immutable bundle of Kraus operators stacked into one
-(n_kraus, out_dim, in_dim) array. The canonical complement is derived
-directly from the Kraus family: N_c(rho)[i,j] = Tr(K_i rho K_j^dag). Its
-stack is a read-only view of the channel's own, with the first two axes
-swapped, so complementing copies no Kraus operator.
+The switch flag and the rocket's announced label are classical registers
+that Bob and Eve both see, so a channel is stored block by block: a block
+(rows, env, kraus) holds the Kraus operators K_e, e in env, cut down to the
+output rows they reach, as one (len(env), len(rows), in_dim) array. No two
+blocks share an output row or a Kraus index, so every output is block
+diagonal over the blocks' rows and every environment output over their
+env indices, and nothing outside the blocks is stored. Erasure is two
+blocks (data sent, flag raised), the rocket one block per announced label,
+a switch its components' blocks shifted by the flag, and a tensor product
+the pairwise Kronecker products of blocks. The canonical complement,
+N_c(rho)[i,j] = Tr(K_i rho K_j^dag), is the same blocks with rows and env,
+and the first two axes of kraus, swapped.
 
 `apply` never forms K rho K^dag operator by operator. It factors the input
 as rho = sum_j s_j a_j a_j^dag over its numerically nonzero eigenpairs
-(s_j = +-1), so the output is one matrix product W diag(s) W^dag of the
-images W = [K_k a_j] stacked side by side: the work scales with the rank
-of the input, and both products run in BLAS. The complement's output
-comes from the same kernel, since its Kraus operators are the rows of the
-K_k.
-
-The switch flag and the rocket's announced label are classical registers
-that Bob and Eve both see, so the stacks built here are mostly zeros.
-The trace-preservation check sums only over Kraus rows that are not all
-zero, and from an output dimension of qcore.SPARSE_MIN_DIM on `apply`
-multiplies only the nonzero rows and columns of W.
+(s_j = +-1), so each block's output is one matrix product W diag(s) W^dag
+of the images W = [K_k a_j] stacked side by side: the work scales with the
+rank of the input and the size of the blocks, and both products run in
+BLAS.
 """
 
 from __future__ import annotations
@@ -29,22 +30,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import as_fraction
-from .qcore import (
-    SPARSE_MIN_DIM,
-    DensityOperator,
-    SystemLayout,
-    check_dim,
-    layout_of,
-)
+from .qcore import DensityOperator, SystemLayout, check_dim, layout_of
 
 TOL_CPTP = 1e-9
-# Kraus entries (16 MiB) per block of whole Kraus operators in the
-# trace-preservation check, whose temporaries are one block at most
-_GRAM_BLOCK = 1 << 20
 
 
 class ChannelSpecError(ValueError):
@@ -66,68 +59,66 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Kraus family with input/output/environment layouts.
+    """Kraus family with input/output/environment layouts, as blocks.
 
-    kraus has shape (n_kraus, out_dim, in_dim); env_layout describes the
-    grouping of the Kraus index (the canonical environment). The channel
-    keeps a read-only stack: an array its caller could still change (one
-    that is writable, or a view of a writable array) is copied, and one
-    handed over read-only is kept as it is, when its rows are contiguous
-    and it owns its data or is a view of a read-only array that does (a
-    complement's stack).
+    Each block (rows, env, kraus) holds kraus[i, j, :] = K_env[i][rows[j], :],
+    of shape (len(env), len(rows), in_dim); every entry of a Kraus operator
+    outside its block's rows is zero. No two blocks share an output row or a
+    Kraus index. env_layout describes the grouping of the Kraus index (the
+    canonical environment). The channel keeps read-only copies of the blocks
+    it is given, so its caller cannot change it afterwards. `kraus` is the
+    dense (n_kraus, out_dim, in_dim) stack, built on first access.
     """
 
     in_layout: SystemLayout
     out_layout: SystemLayout
     env_layout: SystemLayout
-    kraus: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
     spec: ChannelSpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "in_layout", layout_of(self.in_layout))
         object.__setattr__(self, "out_layout", layout_of(self.out_layout))
         object.__setattr__(self, "env_layout", layout_of(self.env_layout))
-        k = np.asarray(self.kraus, dtype=np.complex128)
-        if k.ndim != 3:
-            raise ChannelSpecError(f"kraus stack must be 3-d, got shape {k.shape}")
-        nk, dout, din = k.shape
-        if dout != self.out_layout.total or din != self.in_layout.total:
-            raise ChannelSpecError(
-                f"kraus shape {k.shape} inconsistent with layouts "
-                f"(out {self.out_layout.total}, in {self.in_layout.total})"
+        din = self.in_dim
+        blocks = tuple(
+            (
+                np.array(rows, dtype=np.intp),
+                np.array(env, dtype=np.intp),
+                np.array(k, dtype=np.complex128, order="C"),
             )
-        if nk != self.env_layout.total:
-            raise ChannelSpecError(
-                f"{nk} kraus operators but env layout total {self.env_layout.total}"
-            )
-        owner = k if k.flags.owndata else k.base
-        if (
-            k.flags.writeable
-            or not isinstance(owner, np.ndarray)
-            or not owner.flags.owndata
-            or owner.flags.writeable
-            or k.strides[-1] != k.itemsize
-        ):
-            k = k.copy()
-            k.setflags(write=False)
-        # sum_k K_k^dag K_k over the rows that are not all zero, a block of
-        # Kraus operators at a time, so a view is never copied whole. A row
-        # counts as zero when its squared norm is: one whose entries all lie
-        # below 1e-154 in size adds less than 1e-300 to the Gram.
-        gram = np.zeros((din, din), dtype=np.complex128)
-        step = max(1, _GRAM_BLOCK // (dout * din))
-        for start in range(0, nk, step):
-            block = k[start : start + step]
-            re_im = block.view(np.float64)
-            rows = block[np.einsum("kmi,kmi->km", re_im, re_im) != 0]
-            gram += rows.conj().T @ rows
-        if np.max(np.abs(gram - np.eye(din))) > TOL_CPTP:
+            for rows, env, k in self.blocks
+        )
+        for rows, env, k in blocks:
+            if rows.ndim != 1 or env.ndim != 1 or k.shape != (len(env), len(rows), din):
+                raise ChannelSpecError(
+                    f"kraus block of shape {k.shape} does not hold {env.size} operators "
+                    f"on {rows.size} output rows and {din} inputs"
+                )
+            for a in (rows, env, k):
+                a.setflags(write=False)
+        flat = np.concatenate([k.reshape(-1, din) for _, _, k in blocks])
+        if np.max(np.abs(flat.conj().T @ flat - np.eye(din))) > TOL_CPTP:
             raise ChannelSpecError("not trace preserving")
-        object.__setattr__(self, "kraus", k)
+        for axis, total in ((0, self.out_dim), (1, self.n_kraus)):
+            idx = np.concatenate([b[axis] for b in blocks]).tolist()
+            if len(set(idx)) < len(idx) or min(idx) < 0 or max(idx) >= total:
+                what = ("output rows", "kraus indices")[axis]
+                raise ChannelSpecError(f"blocks need distinct {what} below {total}")
+        object.__setattr__(self, "blocks", blocks)
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """The dense, read-only (n_kraus, out_dim, in_dim) Kraus stack."""
+        k = np.zeros((self.n_kraus, self.out_dim, self.in_dim), dtype=np.complex128)
+        for rows, env, block in self.blocks:
+            k[np.ix_(env, rows)] = block
+        k.setflags(write=False)
+        return k
 
     @property
     def n_kraus(self) -> int:
-        return self.kraus.shape[0]
+        return self.env_layout.total
 
     @property
     def in_dim(self) -> int:
@@ -164,13 +155,6 @@ class CqEnsemble:
         return self.items[0][1].layout
 
 
-def _handover(k: np.ndarray) -> np.ndarray:
-    """Mark a Kraus stack that its builder has just made read-only, so
-    QuantumChannel keeps it instead of copying it."""
-    k.setflags(write=False)
-    return k
-
-
 # ---------------------------------------------------------------------------
 # application and complement
 
@@ -182,10 +166,9 @@ def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     eigenpairs above the matrix_rank cut (|lam| > max|lam| * in_dim * eps)
     and s_j the sign of lam_j: the slightly negative eigenvalues that a
     DensityOperator admits keep their sign, so the output trace stays
-    exact. The images W[m, (k, j)] = (K_k a_j)[m] form one
-    (out, n_kraus * rank) matrix and the output is W diag(s) W^dag. From
-    an output dimension of qcore.SPARSE_MIN_DIM on, that product runs only
-    over the rows and columns of W that are not all zero.
+    exact. In each block the images W[m, (k, j)] = (K_k a_j)[m] form one
+    (len(rows), len(env) * rank) matrix, and W diag(s) W^dag fills the
+    block's rows and columns of the output; every other entry is zero.
     """
     if rho.layout.total != ch.in_dim:
         raise ValueError(
@@ -195,20 +178,14 @@ def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     mag = np.abs(lam)
     keep = mag > mag.max() * ch.in_dim * np.finfo(np.float64).eps
     a = vecs[:, keep] * np.sqrt(mag[keep])
-    # one small GEMM per output row m over the strided view K[:, m, :]
-    w = np.matmul(ch.kraus.swapaxes(0, 1), a)  # (out, nk, rank)
-    ws = w.conj()
-    ws *= np.sign(lam[keep])
-    w, ws = w.reshape(ch.out_dim, -1), ws.reshape(ch.out_dim, -1)
-    if ch.out_dim < SPARSE_MIN_DIM:
-        out = w @ ws.T
-    else:
-        # the product over the nonzero rows and columns of W only,
-        # scattered into the zero output
-        rows = np.flatnonzero(w.any(axis=1))
-        sub = np.ix_(rows, np.flatnonzero(w.any(axis=0)))
-        out = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
-        out[np.ix_(rows, rows)] = w[sub] @ ws[sub].T
+    sign = np.sign(lam[keep])
+    out = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
+    for rows, _, k in ch.blocks:
+        # one small GEMM per output row m over the strided view K[:, m, :]
+        w = np.matmul(k.swapaxes(0, 1), a)  # (rows, env, rank)
+        ws = w.conj()
+        ws *= sign
+        out[rows[:, None], rows] = w.reshape(len(rows), -1) @ ws.reshape(len(rows), -1).T
     return DensityOperator(ch.out_layout, out, check_psd=False)
 
 
@@ -216,34 +193,39 @@ def complementary(ch: QuantumChannel) -> QuantumChannel:
     """Canonical complement from V|psi> = sum_i K_i|psi> x |i>_E.
 
     The complement's Kraus operator for output row m collects the m-th rows
-    of every K_i, so that N_c(rho)[i,j] = Tr(K_i rho K_j^dag). Its stack is
-    the read-only view ch.kraus.swapaxes(0, 1) of the channel's own stack,
-    (out, nk, in) with kraus[m][i, :] = K_i[m, :]; nothing is copied.
+    of every K_i, so that N_c(rho)[i,j] = Tr(K_i rho K_j^dag). Each block
+    (rows, env, kraus) therefore becomes (env, rows, kraus.swapaxes(0, 1)):
+    its Kraus operators are the block's output rows, and its output rows
+    the block's Kraus indices.
     """
     return QuantumChannel(
         in_layout=ch.in_layout,
         out_layout=ch.env_layout,
         env_layout=ch.out_layout,
-        kraus=ch.kraus.swapaxes(0, 1),
+        blocks=tuple((env, rows, k.swapaxes(0, 1)) for rows, env, k in ch.blocks),
     )
 
 
 def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """Pairwise Kronecker products of the Kraus families."""
+    """Pairwise Kronecker products of the Kraus families, block by block."""
     in_lay = a.in_layout.concat(b.in_layout)
     out_lay = a.out_layout.concat(b.out_layout)
     env_lay = a.env_layout.concat(b.env_layout)
     check_dim(in_lay.total, "tensor channel input")
     check_dim(out_lay.total, "tensor channel output")
     check_dim(env_lay.total, "tensor channel environment")
-    (na, oa, ia), (nb, ob, ib) = a.kraus.shape, b.kraus.shape
-    kraus = np.empty((na * nb, oa * ob, ia * ib), dtype=np.complex128)
-    # written in place through a 6-d view, so the stack owns its data
-    np.einsum("iab,jcd->ijacbd", a.kraus, b.kraus, out=kraus.reshape(na, nb, oa, ob, ia, ib))
+    blocks = []
+    for ra, ea, ka in a.blocks:
+        for rb, eb, kb in b.blocks:
+            (na, oa, ia), (nb, ob, ib) = ka.shape, kb.shape
+            k = np.einsum("iab,jcd->ijacbd", ka, kb).reshape(na * nb, oa * ob, ia * ib)
+            rows = np.add.outer(ra * b.out_dim, rb).ravel()
+            env = np.add.outer(ea * b.n_kraus, eb).ravel()
+            blocks.append((rows, env, k))
     spec = None
     if a.spec is not None and b.spec is not None:
         spec = ChannelSpec(kind="tensor", factors=(a.spec, b.spec))
-    return QuantumChannel(in_lay, out_lay, env_lay, _handover(kraus), spec)
+    return QuantumChannel(in_lay, out_lay, env_lay, tuple(blocks), spec)
 
 
 def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
@@ -261,12 +243,11 @@ def identity_channel(d: int) -> QuantumChannel:
     if d < 1:
         raise ChannelSpecError(f"identity needs d >= 1, got {d}")
     check_dim(d, "identity")
-    k = np.eye(d, dtype=np.complex128)[None, :, :]
     return QuantumChannel(
         SystemLayout((d,)),
         SystemLayout((d,)),
         SystemLayout((1,)),
-        k,
+        ((range(d), [0], np.eye(d)[None]),),
         ChannelSpec(kind="identity", d=d),
     )
 
@@ -274,8 +255,9 @@ def identity_channel(d: int) -> QuantumChannel:
 def erasure_channel(p, d: int) -> QuantumChannel:
     """Erasure with flag: rho -> (1-p) rho (+) p |e><e|, output dim d+1.
 
-    Kraus: sqrt(1-p) embed(I_d) plus sqrt(p)|e><i| for each basis i;
-    exactly-zero operators (p = 0 or 1) are dropped.
+    Kraus: sqrt(1-p) embed(I_d) plus sqrt(p)|e><i| for each basis i, as
+    two blocks (data sent, flag raised); a block of exactly-zero operators
+    (p = 0 or 1) is dropped.
     """
     p = as_fraction(p)
     if p < 0 or p > 1:
@@ -284,24 +266,17 @@ def erasure_channel(p, d: int) -> QuantumChannel:
         raise ChannelSpecError(f"erasure needs d >= 1, got {d}")
     check_dim(d + 1, "erasure output")
     pf = float(p)
-    ops = []
+    blocks = []
     if p != 1:
-        k0 = np.zeros((d + 1, d), dtype=np.complex128)
-        k0[:d, :] = math.sqrt(1.0 - pf) * np.eye(d)
-        ops.append(k0)
+        blocks.append((range(d), [0], math.sqrt(1.0 - pf) * np.eye(d)[None]))
     if p != 0:
-        for i in range(d):
-            k = np.zeros((d + 1, d), dtype=np.complex128)
-            k[d, i] = math.sqrt(pf)
-            ops.append(k)
+        first = len(blocks)
+        blocks.append(([d], range(first, first + d), math.sqrt(pf) * np.eye(d)[:, None]))
     kind = "full_erasure" if p == 1 else "erasure"
     spec = ChannelSpec(kind=kind, p=None if p == 1 else p, d=d)
+    n_kraus = (p != 1) + d * (p != 0)
     return QuantumChannel(
-        SystemLayout((d,)),
-        SystemLayout((d + 1,)),
-        SystemLayout((len(ops),)),
-        _handover(np.stack(ops)),
-        spec,
+        SystemLayout((d,)), SystemLayout((d + 1,)), SystemLayout((n_kraus,)), tuple(blocks), spec
     )
 
 
@@ -348,8 +323,10 @@ def rocket_channel(d: int, ensemble: str = "pauli") -> QuantumChannel:
     uniformly drawn unitary pair (U_r, V_r); the second register is discarded
     and the label r is handed to Bob as a classical output register.
 
-    The canonical complement gives the environment the discarded register
-    together with the Kraus index, which contains r.
+    Label r is one block: output rows (r, i) and Kraus indices (r, m) for
+    the d outcomes m of the discarded register. The canonical complement
+    gives the environment the discarded register together with the Kraus
+    index, which contains r.
     """
     if d < 2:
         raise ChannelSpecError(f"rocket needs d >= 2, got {d}")
@@ -362,19 +339,18 @@ def rocket_channel(d: int, ensemble: str = "pauli") -> QuantumChannel:
     dephase = np.diag(
         np.array([w ** (i * j) for i in range(d) for j in range(d)], dtype=np.complex128)
     )
-    kraus = np.zeros((nr * d, nr * d, d * d), dtype=np.complex128)
     scale = 1.0 / math.sqrt(nr)
+    blocks = []
     for r, (u, v) in enumerate(pairs):
         wr = dephase @ np.kron(u, v)
-        for m in range(d):
-            block = wr[m::d, :]  # rows (i, j=m): contents of A1 after projecting A2 on |m>
-            k = kraus[r * d + m]
-            k[r * d : (r + 1) * d, :] = scale * block
+        # operator m holds rows (i, j=m): the contents of A1 after projecting A2 on |m>
+        labels = range(r * d, (r + 1) * d)
+        blocks.append((labels, labels, scale * wr.reshape(d, d, d * d).swapaxes(0, 1)))
     return QuantumChannel(
         SystemLayout((d, d)),
         SystemLayout((nr, d)),
         SystemLayout((nr, d)),
-        _handover(kraus),
+        tuple(blocks),
         ChannelSpec(kind="rocket", d=d, ensemble=ensemble),
     )
 
@@ -382,7 +358,11 @@ def rocket_channel(d: int, ensemble: str = "pauli") -> QuantumChannel:
 def switch_channel(components) -> QuantumChannel:
     """Flag register measured in the standard basis, component applied,
     outputs embedded isometrically into the max-dimension output space with
-    the flag kept as a classical register."""
+    the flag kept as a classical register.
+
+    Component c's blocks move to output rows c*dout + row and to the Kraus
+    indices after those of the components before it, and read the input
+    columns of flag value c."""
     comps = list(components)
     if len(comps) < 2:
         raise ChannelSpecError("switch needs at least 2 components")
@@ -396,23 +376,22 @@ def switch_channel(components) -> QuantumChannel:
     dout = max(c.out_dim for c in comps)
     check_dim(m * din, "switch input")
     check_dim(m * dout, "switch output")
-    n_total = sum(c.n_kraus for c in comps)
-    kraus = np.zeros((n_total, m * dout, m * din), dtype=np.complex128)
-    idx = 0
+    blocks = []
+    first = 0
     for i, c in enumerate(comps):
-        rows = slice(i * dout, i * dout + c.out_dim)
-        cols = slice(i * din, (i + 1) * din)
-        for k in c.kraus:
-            kraus[idx][rows, cols] = k
-            idx += 1
+        for rows, env, k in c.blocks:
+            wide = np.zeros(k.shape[:2] + (m * din,), dtype=np.complex128)
+            wide[:, :, i * din : (i + 1) * din] = k
+            blocks.append((rows + i * dout, env + first, wide))
+        first += c.n_kraus
     spec = None
     if all(c.spec is not None for c in comps):
         spec = ChannelSpec(kind="switch", components=tuple(c.spec for c in comps))
     return QuantumChannel(
         SystemLayout((m, din)),
         SystemLayout((m, dout)),
-        SystemLayout((n_total,)),
-        _handover(kraus),
+        SystemLayout((first,)),
+        tuple(blocks),
         spec,
     )
 
@@ -428,7 +407,7 @@ def main_channel(n: int, p, d: int, ensemble: str = "pauli") -> QuantumChannel:
     rockets = tensor_power(rocket_channel(d, ensemble), n)
     sw = switch_channel([rockets, padded_erasure(n, p, d)])
     in_lay = SystemLayout((2,) + (d,) * (2 * n))
-    return QuantumChannel(in_lay, sw.out_layout, sw.env_layout, sw.kraus, sw.spec)
+    return QuantumChannel(in_lay, sw.out_layout, sw.env_layout, sw.blocks, sw.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +527,7 @@ def spec_to_channel(spec: ChannelSpec) -> QuantumChannel:
             SystemLayout((din,)),
             SystemLayout((dout,)),
             SystemLayout((len(mats),)),
-            _handover(np.stack(mats)),
+            ((range(dout), range(len(mats)), np.stack(mats)),),
             spec,
         )
     raise ChannelSpecError(f"unknown spec kind {spec.kind!r}")

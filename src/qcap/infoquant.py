@@ -44,15 +44,27 @@ class OptimizerConfig:
             raise ValueError("restarts and iterations must be positive")
 
 
-def _entropy_with_residual(rho: DensityOperator) -> tuple[float, float]:
-    w = qcore.hermitian_spectrum(rho.matrix)
-    return qcore.spectrum_entropy(w), abs(float(np.sum(w)) - 1.0)
+def _entropies(ch: QuantumChannel, outs: list[np.ndarray]) -> tuple[list[float], float]:
+    """Entropies of output matrices of ch, and the largest distance of a
+    spectrum's sum from 1. An output is zero outside the rows and columns
+    of ch's blocks and block diagonal over them, so the spectra come from
+    one eigvalsh per block size, over those blocks of every output at once."""
+    sizes = [len(rows) for rows, _, _ in ch.blocks]
+    parts = []
+    for s in sorted(set(sizes)):
+        idx = np.stack([rows for (rows, _, _), n in zip(ch.blocks, sizes) if n == s])
+        sub = np.stack([m[idx[:, :, None], idx[:, None, :]] for m in outs])
+        parts.append(np.linalg.eigvalsh(sub).reshape(len(outs), -1))
+    w = np.concatenate(parts, axis=1)
+    resid = float(np.max(np.abs(np.sum(w, axis=1) - 1.0)))
+    return qcore.spectrum_entropy(w).tolist(), resid
 
 
 def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult:
     """H(B) - H(E) for the given input."""
-    hb, rb = _entropy_with_residual(qch.apply(ch, rho))
-    he, re_ = _entropy_with_residual(qch.apply(qch.complementary(ch), rho))
+    comp = qch.complementary(ch)
+    (hb,), rb = _entropies(ch, [qch.apply(ch, rho).matrix])
+    (he,), re_ = _entropies(comp, [qch.apply(comp, rho).matrix])
     return InfoResult(
         value=hb - he,
         components={"H(B)": hb, "H(E)": he},
@@ -61,16 +73,12 @@ def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult
 
 
 def _holevo(ch: QuantumChannel, ens: CqEnsemble, side: str) -> InfoResult:
-    outs = [(p, qch.apply(ch, rho)) for p, rho in ens.items]
-    avg_m = sum(p * o.matrix for p, o in outs)
-    avg = DensityOperator(ch.out_layout, avg_m, check_psd=False)
-    h_avg, r0 = _entropy_with_residual(avg)
+    outs = [(p, qch.apply(ch, rho).matrix) for p, rho in ens.items]
+    avg = sum(p * o for p, o in outs)
+    (h_avg, *hs), resid = _entropies(ch, [avg] + [o for _, o in outs])
     h_cond = 0.0
-    resid = r0
-    for p, o in outs:
-        h, r = _entropy_with_residual(o)
+    for (p, _), h in zip(outs, hs):
         h_cond += p * h
-        resid = max(resid, r)
     label = f"I(X;{side})"
     return InfoResult(
         value=h_avg - h_cond,
@@ -535,15 +543,18 @@ def subentropy(rho: DensityOperator) -> float:
     table takes the Taylor coefficient g^(k)(x)/k! =
     C(d,k) x^(d-k) (log2 x + (H_d - H_(d-k)) log2 e), which is 0 at x = 0
     for every order k < d. Eigenvalues below 1e-12 count as 0, and runs of
-    nonzero eigenvalues less than 1e-9 apart merge into one node at their
-    mean, so a degenerate spectrum needs no second code path.
+    nonzero eigenvalues less than 1e-5 apart merge into one node at their
+    mean, so a degenerate spectrum needs no second code path. Merging moves
+    Q by an amount second order in the gap, while a difference quotient
+    over a gap just above the cut divides rounding errors by it: at a 1e-9
+    cut, a pair 1.1e-9 apart read 1.1e-7 bits off.
     """
     w = np.linalg.eigvalsh(rho.matrix)
     dim = len(w)
     lam = sorted(0.0 if x < 1e-12 else min(x, 1.0) for x in w.tolist())
     nodes, start = [], 0
     for i in range(1, dim + 1):
-        if i == dim or lam[i - 1] == 0.0 or lam[i] - lam[i - 1] >= 1e-9:
+        if i == dim or lam[i - 1] == 0.0 or lam[i] - lam[i - 1] >= 1e-5:
             nodes += [sum(lam[start:i]) / (i - start)] * (i - start)
             start = i
     shift = [0.0]  # (H_d - H_(d-k)) log2 e for k = 0 .. d-1

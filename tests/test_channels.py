@@ -37,7 +37,8 @@ def _random_channel(rng, nk, dout, din):
     """Kraus family cut from a Haar-like isometry C^din -> C^nk x C^dout."""
     g = rng.standard_normal((nk * dout, din)) + 1j * rng.standard_normal((nk * dout, din))
     iso, _ = np.linalg.qr(g)
-    return QuantumChannel((din,), (dout,), (nk,), iso.reshape(nk, dout, din))
+    block = (range(dout), range(nk), iso.reshape(nk, dout, din))
+    return QuantumChannel((din,), (dout,), (nk,), (block,))
 
 
 def _loop_apply(ch, m):
@@ -362,7 +363,6 @@ def test_parse_rejects_garbage():
         lambda rng: _random_channel(rng, 3, 4, 5),
         lambda rng: _random_channel(rng, 7, 2, 6),
         lambda rng: main_channel(1, Fraction(1, 4), 2),
-        # outputs at and above qcore.SPARSE_MIN_DIM take the support-restricted product
         lambda rng: _random_channel(rng, 2, 70, 5),
         lambda rng: main_channel(1, Fraction(1, 4), 3),
     ],
@@ -397,78 +397,65 @@ def test_complement_of_random_channel_is_cptp(nk, dout, din, seed):
 
 
 def test_constructor_copies_an_array_its_caller_can_still_change():
-    lay_in, lay_out, lay_env = (qcore.SystemLayout((n,)) for n in (2, 3, 3))
-    mine = np.array(erasure_channel(Fraction(1, 4), 2).kraus)  # writable
-    ch = QuantumChannel(lay_in, lay_out, lay_env, mine)
-    before = ch.kraus.copy()
-    mine[:] = 0
-    np.testing.assert_array_equal(ch.kraus, before)
-    assert not ch.kraus.flags.writeable
+    ch = erasure_channel(Fraction(1, 4), 2)
+    layouts = (ch.in_layout, ch.out_layout, ch.env_layout)
+    mine = [tuple(np.array(a) for a in block) for block in ch.blocks]  # writable
+    copy = QuantumChannel(*layouts, mine)
+    before = copy.kraus.copy()
+    for block in mine:
+        for a in block:
+            a[...] = 0
+    np.testing.assert_array_equal(copy.kraus, before)
+    assert not any(a.flags.writeable for block in copy.blocks for a in block)
     # a read-only view of a writable base is copied too
-    base = before.copy()
+    base = np.array(ch.blocks[0][2])
     view = base[:]
     view.setflags(write=False)
-    ch = QuantumChannel(lay_in, lay_out, lay_env, view)
-    assert not np.shares_memory(ch.kraus, base)
+    copy = QuantumChannel(*layouts, ((ch.blocks[0][:2] + (view,)),) + ch.blocks[1:])
+    base[...] = 0
+    np.testing.assert_array_equal(copy.kraus, ch.kraus)
 
 
-def test_trace_preservation_check_covers_every_block(monkeypatch):
-    monkeypatch.setattr(channels, "_GRAM_BLOCK", 12)  # two rows of 6 per block
-    good = _random_channel(np.random.default_rng(5), 7, 2, 6)
-    layouts = (good.in_layout, good.out_layout, good.env_layout)
-    assert np.array_equal(QuantumChannel(*layouts, good.kraus).kraus, good.kraus)
-    for k in (0, 6):
-        bad = np.array(good.kraus)
-        bad[k] *= 1.001
+def _with_block_scaled(blocks, b):
+    """The blocks with the last nonzero entry of block b scaled by 1.001."""
+    rows, env, k = blocks[b]
+    k = np.array(k)
+    k.flat[np.flatnonzero(k)[-1]] *= 1.001
+    return blocks[:b] + ((rows, env, k),) + blocks[b + 1 :]
+
+
+def test_trace_preservation_check_covers_every_block():
+    # main_channel(1, 1/4, 2): 16 rocket label blocks, then the erasure's
+    # data-sent and flag-raised blocks
+    ch = main_channel(1, Fraction(1, 4), 2)
+    layouts = (ch.in_layout, ch.out_layout, ch.env_layout)
+    assert len(ch.blocks) == 18
+    np.testing.assert_array_equal(QuantumChannel(*layouts, ch.blocks).kraus, ch.kraus)
+    for b in range(len(ch.blocks)):
         with pytest.raises(ChannelSpecError, match="not trace preserving"):
-            QuantumChannel(*layouts, bad)
+            QuantumChannel(*layouts, _with_block_scaled(ch.blocks, b))
 
 
 @pytest.mark.parametrize("side", ["stack", "complement view"])
-def test_trace_preservation_check_sees_a_late_block_of_a_sparse_stack(monkeypatch, side):
-    # main_channel(1, 1/4, 2): 38 Kraus operators of 64x8, mostly zero rows
+def test_trace_preservation_check_sees_a_late_block_of_a_sparse_stack(side):
     ch = main_channel(1, Fraction(1, 4), 2)
-    monkeypatch.setattr(channels, "_GRAM_BLOCK", 8 * 8)  # under one operator per block
-    layouts = (ch.in_layout, ch.out_layout, ch.env_layout)
-    as_given = lambda k: k
     if side == "complement view":
-        layouts = (ch.in_layout, ch.env_layout, ch.out_layout)
-        as_given = lambda k: k.swapaxes(0, 1)
-    # a read-only view of a read-only stack is checked and kept as it is
-    assert np.shares_memory(QuantumChannel(*layouts, as_given(ch.kraus)).kraus, ch.kraus)
-    nonzero = np.argwhere(np.abs(ch.kraus).sum(axis=2) > 0)  # (k, m) of every nonzero row
-    if side == "stack":
-        k, m = nonzero[nonzero[:, 0] == ch.n_kraus - 1][-1]  # in the last block
-    else:
-        k, m = nonzero[np.argmax(nonzero[:, 1])]  # in the complement's last nonzero block
-    bad = np.array(ch.kraus)
-    bad[k, m] *= 1.001
-    bad.setflags(write=False)
-    with pytest.raises(ChannelSpecError, match="not trace preserving"):
-        QuantumChannel(*layouts, as_given(bad))
+        ch = complementary(ch)
+    layouts = (ch.in_layout, ch.out_layout, ch.env_layout)
+    for b in (0, len(ch.blocks) - 1):
+        with pytest.raises(ChannelSpecError, match="not trace preserving"):
+            QuantumChannel(*layouts, _with_block_scaled(ch.blocks, b))
 
 
-def test_builders_hand_over_their_fresh_stack(monkeypatch):
-    handed = []
-    post_init = QuantumChannel.__post_init__
-
-    def spy(self):
-        handed.append(self.kraus)
-        post_init(self)
-
-    monkeypatch.setattr(QuantumChannel, "__post_init__", spy)
-    a = rocket_channel(2, "identity")
-    b = erasure_channel(Fraction(1, 4), 2)
-    for build in (
-        lambda: tensor_channels(a, b),
-        lambda: complementary(a),
-        lambda: switch_channel([b, erasure_channel(Fraction(1, 3), 2)]),
-    ):
-        ch = build()
-        assert np.shares_memory(handed[-1], ch.kraus)
-        assert not ch.kraus.flags.writeable
-    # the complement's stack is a view of the channel's own
-    assert np.shares_memory(complementary(a).kraus, a.kraus)
+def test_blocks_must_not_share_output_rows_or_kraus_indices():
+    half = np.sqrt(0.5) * np.eye(2)[None]
+    lay = qcore.SystemLayout((2,))
+    with pytest.raises(ChannelSpecError, match="distinct output rows"):
+        QuantumChannel(lay, lay, (2,), (([0, 1], [0], half), ([0, 1], [1], half)))
+    with pytest.raises(ChannelSpecError, match="distinct kraus indices"):
+        QuantumChannel(lay, (4,), (1,), (([0, 1], [0], half), ([2, 3], [0], half)))
+    with pytest.raises(ChannelSpecError, match="does not hold"):
+        QuantumChannel(lay, lay, (1,), (([0], [0], np.eye(2)[None]),))
 
 
 def test_rocket_rejects_a_large_pauli_output_before_building_the_pairs(monkeypatch):

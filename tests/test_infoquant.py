@@ -270,6 +270,9 @@ _ORACLE_SPECTRA = {
     "(.4,.4,.1,.1)": [0.4, 0.4, 0.1, 0.1],
     "(.3,.3,.3,.1,0)": [0.3, 0.3, 0.3, 0.1, 0.0],
     "pair-5e-10-apart": [0.3 + 2.5e-10, 0.3 - 2.5e-10, 0.25, 0.15],
+    # pairs far enough apart to stay separate nodes under a 1e-9 merge
+    # gap, where the table divides rounding errors by the gap
+    **{f"pair-{g}-apart": [0.3 + g / 2, 0.3 - g / 2, 0.25, 0.15] for g in (1.1e-9, 2e-9)},
 }
 
 

@@ -73,11 +73,14 @@ def test_witness_state_validates_arguments():
         iq.witness_state(2, 2, 3)  # (2 * 2^4)^3 = 32768 exceeds the cap
 
 
-def test_factored_matches_dense_two_uses():
-    dense_ch = tensor_power(main_channel(1, P, 2, ensemble="identity"), 2)
+@pytest.mark.parametrize("ensemble", ["identity", "pauli"])
+def test_factored_matches_dense_two_uses(ensemble):
+    # two whole uses of the switch, no flag pinned by the evaluation; the
+    # Pauli case has 4096-dimensional outputs and 324 blocks
+    dense_ch = tensor_power(main_channel(1, P, 2, ensemble=ensemble), 2)
     rho, _ = iq.witness_state(1, 2, 2)
     dense = iq.coherent_information(dense_ch, rho)
-    fact = iq.witness_coherent_info(1, P, 2, 2, ensemble="identity")
+    fact = iq.witness_coherent_info(1, P, 2, 2, ensemble=ensemble)
     assert fact.value == pytest.approx(dense.value, abs=1e-9)
     assert fact.components["H(B)"] == pytest.approx(dense.components["H(B)"], abs=1e-9)
     assert fact.components["H(E)"] == pytest.approx(dense.components["H(E)"], abs=1e-9)
@@ -99,6 +102,20 @@ def test_pinned_switch_equals_bare_component():
     full = iq.coherent_information(ch, pinned)
     bare = iq.coherent_information(rocket_channel(2), data)
     assert full.value == pytest.approx(bare.value, abs=1e-9)
+
+
+def test_main_channel_with_two_rockets_at_desk_scale():
+    # main_channel(2, 1/4, 2) has 32 inputs, 2048 outputs and 1048 Kraus
+    # operators; flag |1>, data I/2 and pad |0> gets the erasure's rate
+    ch = main_channel(2, P, 2)
+    assert (ch.in_dim, ch.out_dim, ch.n_kraus) == (32, 2048, 1048)
+    rho = qcore.tensor_all(
+        qcore.basis_state(2, 1).to_density(),
+        qcore.max_mixed(2),
+        qcore.basis_state((2, 2, 2), 0).to_density(),
+    )
+    res = iq.coherent_information(ch, rho)
+    assert res.value == pytest.approx(float(1 - 2 * P) * math.log2(2), abs=1e-9)
 
 
 def test_witness_rates():
