@@ -20,7 +20,8 @@ as rho = sum_j s_j a_j a_j^dag over its numerically nonzero eigenpairs
 (s_j = +-1), so each block's output is one matrix product W diag(s) W^dag
 of the images W = [K_k a_j] stacked side by side: the work scales with the
 rank of the input and the size of the blocks, and both products run in
-BLAS.
+BLAS. The output is a BlockOutput, one square matrix per block, and the
+dense out_dim x out_dim matrix exists only if something reads it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import as_fraction
-from .qcore import DensityOperator, SystemLayout, check_dim, layout_of
+from .qcore import TOL_HERMITIAN, TOL_TRACE, DensityOperator, SystemLayout, check_dim, layout_of
 
 TOL_CPTP = 1e-9
 
@@ -130,6 +131,39 @@ class QuantumChannel:
 
 
 @dataclass(frozen=True)
+class BlockOutput:
+    """A channel output, block diagonal over the rows of the channel's blocks.
+
+    blocks[i] is the square matrix on output rows rows[i], in the order of
+    the channel's blocks; every entry outside them is zero. The checks a
+    DensityOperator makes hold block by block: each block is Hermitian
+    within TOL_HERMITIAN and the block traces sum to 1 within TOL_TRACE.
+    `matrix` is the dense, read-only (dim, dim) operator, built on first
+    access.
+    """
+
+    layout: SystemLayout
+    rows: tuple = field(repr=False)
+    blocks: tuple = field(repr=False)
+
+    def __post_init__(self):
+        herm = max((float(abs(b - b.conj().T).max()) for b in self.blocks), default=0.0)
+        if herm > TOL_HERMITIAN:
+            raise ValueError(f"output block is not Hermitian (deviation {herm:.3e})")
+        tr = sum(complex(b.trace()) for b in self.blocks)
+        if abs(tr - 1.0) > TOL_TRACE:
+            raise ValueError(f"output trace deviates from 1 by {abs(tr - 1.0):.3e}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((self.layout.total, self.layout.total), dtype=np.complex128)
+        for rows, b in zip(self.rows, self.blocks):
+            m[np.ix_(rows, rows)] = b
+        m.setflags(write=False)
+        return m
+
+
+@dataclass(frozen=True)
 class CqEnsemble:
     """Classical-quantum ensemble: (probability, state) pairs on one layout."""
 
@@ -159,16 +193,18 @@ class CqEnsemble:
 # application and complement
 
 
-def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Sum_k K_k rho K_k^dag on the channel's output layout.
+def apply(ch: QuantumChannel, rho: DensityOperator) -> BlockOutput:
+    """Sum_k K_k rho K_k^dag on the channel's output layout, one block per
+    block of ch.
 
     rho = sum_j s_j a_j a_j^dag with a_j = sqrt|lam_j| v_j over the
     eigenpairs above the matrix_rank cut (|lam| > max|lam| * in_dim * eps)
     and s_j the sign of lam_j: the slightly negative eigenvalues that a
     DensityOperator admits keep their sign, so the output trace stays
     exact. In each block the images W[m, (k, j)] = (K_k a_j)[m] form one
-    (len(rows), len(env) * rank) matrix, and W diag(s) W^dag fills the
-    block's rows and columns of the output; every other entry is zero.
+    (len(rows), len(env) * rank) matrix, and W diag(s) W^dag is the
+    output's block on those rows, read-only. No out_dim x out_dim array
+    is formed.
     """
     if rho.layout.total != ch.in_dim:
         raise ValueError(
@@ -179,14 +215,16 @@ def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     keep = mag > mag.max() * ch.in_dim * np.finfo(np.float64).eps
     a = vecs[:, keep] * np.sqrt(mag[keep])
     sign = np.sign(lam[keep])
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
+    out = []
     for rows, _, k in ch.blocks:
         # one small GEMM per output row m over the strided view K[:, m, :]
         w = np.matmul(k.swapaxes(0, 1), a)  # (rows, env, rank)
         ws = w.conj()
         ws *= sign
-        out[rows[:, None], rows] = w.reshape(len(rows), -1) @ ws.reshape(len(rows), -1).T
-    return DensityOperator(ch.out_layout, out, check_psd=False)
+        block = w.reshape(len(rows), -1) @ ws.reshape(len(rows), -1).T
+        block.setflags(write=False)
+        out.append(block)
+    return BlockOutput(ch.out_layout, tuple(rows for rows, _, _ in ch.blocks), tuple(out))
 
 
 def complementary(ch: QuantumChannel) -> QuantumChannel:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import as_fraction, qcore
 from . import channels as qch
-from .channels import CqEnsemble, QuantumChannel
+from .channels import BlockOutput, CqEnsemble, QuantumChannel
 from .qcore import DensityOperator, PureState, SystemLayout
 
 MAX_BRUTE_DIM = 8
@@ -44,18 +44,22 @@ class OptimizerConfig:
             raise ValueError("restarts and iterations must be positive")
 
 
-def _entropies(ch: QuantumChannel, outs: list[np.ndarray]) -> tuple[list[float], float]:
-    """Entropies of output matrices of ch, and the largest distance of a
-    spectrum's sum from 1. An output is zero outside the rows and columns
-    of ch's blocks and block diagonal over them, so the spectra come from
-    one eigvalsh per block size, over those blocks of every output at once."""
-    sizes = [len(rows) for rows, _, _ in ch.blocks]
-    parts = []
-    for s in sorted(set(sizes)):
-        idx = np.stack([rows for (rows, _, _), n in zip(ch.blocks, sizes) if n == s])
-        sub = np.stack([m[idx[:, :, None], idx[:, None, :]] for m in outs])
-        parts.append(np.linalg.eigvalsh(sub).reshape(len(outs), -1))
-    w = np.concatenate(parts, axis=1)
+def _block_stacks(outs: list[BlockOutput]) -> list[np.ndarray]:
+    """The blocks of outputs of one channel as one (len(outs), count, s, s)
+    stack per block size s, sizes ascending."""
+    sizes = [len(rows) for rows in outs[0].rows]
+    return [
+        np.array([[b for b, n in zip(o.blocks, sizes) if n == s] for o in outs])
+        for s in sorted(set(sizes))
+    ]
+
+
+def _entropies(stacks: list[np.ndarray]) -> tuple[list[float], float]:
+    """Entropies of the outputs whose blocks `stacks` holds (as from
+    _block_stacks), from one eigvalsh per block size over those blocks of
+    every output at once, and the largest distance of an output's spectrum
+    sum from 1."""
+    w = np.concatenate([np.linalg.eigvalsh(g).reshape(len(g), -1) for g in stacks], axis=1)
     resid = float(np.max(np.abs(np.sum(w, axis=1) - 1.0)))
     return qcore.spectrum_entropy(w).tolist(), resid
 
@@ -63,8 +67,8 @@ def _entropies(ch: QuantumChannel, outs: list[np.ndarray]) -> tuple[list[float],
 def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult:
     """H(B) - H(E) for the given input."""
     comp = qch.complementary(ch)
-    (hb,), rb = _entropies(ch, [qch.apply(ch, rho).matrix])
-    (he,), re_ = _entropies(comp, [qch.apply(comp, rho).matrix])
+    (hb,), rb = _entropies(_block_stacks([qch.apply(ch, rho)]))
+    (he,), re_ = _entropies(_block_stacks([qch.apply(comp, rho)]))
     return InfoResult(
         value=hb - he,
         components={"H(B)": hb, "H(E)": he},
@@ -73,11 +77,13 @@ def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult
 
 
 def _holevo(ch: QuantumChannel, ens: CqEnsemble, side: str) -> InfoResult:
-    outs = [(p, qch.apply(ch, rho).matrix) for p, rho in ens.items]
-    avg = sum(p * o for p, o in outs)
-    (h_avg, *hs), resid = _entropies(ch, [avg] + [o for _, o in outs])
+    probs = [p for p, _ in ens.items]
+    stacks = _block_stacks([qch.apply(ch, rho) for _, rho in ens.items])
+    # the average output, block by block, summed in ensemble order
+    avg = [sum(p * o for p, o in zip(probs, g)) for g in stacks]
+    (h_avg, *hs), resid = _entropies([np.concatenate([a[None], g]) for a, g in zip(avg, stacks)])
     h_cond = 0.0
-    for (p, _), h in zip(outs, hs):
+    for p, h in zip(probs, hs):
         h_cond += p * h
     label = f"I(X;{side})"
     return InfoResult(
@@ -124,12 +130,16 @@ class _EnsembleObjective:
     followed by m reals whose squares give the probability weights.
 
     `value` maps a (B, n_params) batch to (B,) values in one einsum chain.
-    Each side (Bob, and Eve for the private value) takes one eigvalsh call
-    on the stacked [average output; the m member outputs] of every row and
-    one spectrum_entropy call on the spectra it returns. Each row's value
-    is bit for bit the value of that row evaluated alone, and, while the
-    output and environment dimensions stay below 8 (6 and 6 for verify's
-    lemma1 switch), the per-member sum of 1-D entropies.
+    The Holevo value toward Bob takes one eigvalsh call on the stacked
+    [average output; the m member outputs] of every row and one
+    spectrum_entropy call on the spectra it returns. The private value
+    needs only the two averages: a pure member psi_x leaves N(psi_x) and
+    N^c(psi_x) with the same nonzero spectrum, so the members' entropies
+    cancel and I(X;B) - I(X;E) = H(sum_x p_x N(psi_x)) -
+    H(sum_x p_x N^c(psi_x)), the coherent information of the average
+    input. Each row's value is bit for bit the value of that row evaluated
+    alone, and, while the output and environment dimensions stay below 8
+    (6 and 6 for verify's lemma1 switch), the same sums of 1-D entropies.
     """
 
     def __init__(self, ch: QuantumChannel, want_private: bool):
@@ -157,12 +167,6 @@ class _EnsembleObjective:
         vecs = vecs / np.where(ok[:, None], norms, 1.0)[:, :, None]
         return vecs, w / np.where(ok, tot, 1.0)[:, None], ok
 
-    @staticmethod
-    def _holevo_stack(probs: np.ndarray, outs: np.ndarray, avg: np.ndarray) -> np.ndarray:
-        """H(avg) - sum_x p_x H(outs[x]) per row, from one batched spectrum."""
-        h = qcore.spectrum_entropy(np.linalg.eigvalsh(np.concatenate([avg[:, None], outs], axis=1)))
-        return h[:, 0] - np.sum(probs * h[:, 1:], axis=1)
-
     def value(self, theta: np.ndarray) -> np.ndarray:
         """Objective of each row of a (B, n_params) batch; -1e3 where the
         row does not decode."""
@@ -175,12 +179,14 @@ class _EnsembleObjective:
         images = np.einsum("kab,yxb->yxka", self.kraus, vecs)
         bob = np.einsum("yxka,yxkb->yxab", images, images.conj())
         avg_b = np.einsum("yx,yxab->yab", probs, bob)
-        val = self._holevo_stack(probs, bob, avg_b)
         if self.want_private:
             eve = np.einsum("yxka,yxla->yxkl", images, images.conj())
             avg_e = np.einsum("yx,yxkl->ykl", probs, eve)
-            val = val - self._holevo_stack(probs, eve, avg_e)
-        out[ok] = val
+            h_b, h_e = (qcore.spectrum_entropy(np.linalg.eigvalsh(m)) for m in (avg_b, avg_e))
+            out[ok] = h_b - h_e
+            return out
+        h = qcore.spectrum_entropy(np.linalg.eigvalsh(np.concatenate([avg_b[:, None], bob], 1)))
+        out[ok] = h[:, 0] - np.sum(probs * h[:, 1:], axis=1)
         return out
 
     def to_ensemble(self, theta: np.ndarray) -> CqEnsemble:
@@ -348,7 +354,11 @@ def _search(ch: QuantumChannel, cfg: OptimizerConfig, want_private: bool):
 
 
 def brute_force_p1(ch: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()):
-    """Best private value found over pure-state ensembles (lower bound)."""
+    """Best private value found over pure-state ensembles (lower bound).
+
+    Over pure-state ensembles the private value is the coherent
+    information of the average input (see _EnsembleObjective), so this
+    search maximises that coherent information and cannot show P1 > Q1."""
     return _search(ch, cfg, want_private=True)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcap import as_fraction, channels, infoquant, qcore
 from qcap.channels import (
+    BlockOutput,
     ChannelSpecError,
     CqEnsemble,
     QuantumChannel,
@@ -49,6 +50,11 @@ def _loop_complement(ch, m):
     # Tr(K_i m K_j^dag) as the Frobenius product <K_j, K_i m>, for all j at once
     images = np.array([(ki @ m).ravel() for ki in ch.kraus])
     return images @ ch.kraus.reshape(ch.n_kraus, -1).conj().T
+
+
+def _dense(out):
+    """A channel output as a DensityOperator, for the qcore helpers."""
+    return qcore.DensityOperator(out.layout, out.matrix, check_psd=False)
 
 
 def _inputs(layout, rng):
@@ -173,7 +179,7 @@ def test_rocket_identity_ensemble_action():
     out = apply(ch, rho)
     # dephasing kills the off-diagonals linking distinct first-register values
     np.testing.assert_allclose(
-        qcore.partial_trace(out, [1]).matrix, np.eye(2) / 2, atol=1e-12
+        qcore.partial_trace(_dense(out), [1]).matrix, np.eye(2) / 2, atol=1e-12
     )
 
 
@@ -227,7 +233,7 @@ def test_tensor_channels_compose():
     rb = qcore.random_density((3,), rng)
     np.testing.assert_allclose(
         apply(ab, qcore.tensor(ra, rb)).matrix,
-        qcore.tensor(apply(a, ra), apply(b, rb)).matrix,
+        qcore.tensor(_dense(apply(a, ra)), _dense(apply(b, rb))).matrix,
         atol=1e-10,
     )
     sq = tensor_power(a, 2)
@@ -241,9 +247,48 @@ def test_padded_erasure_fully_erases_pad():
     _assert_cptp(ch)
     rng = np.random.default_rng(6)
     rho = qcore.random_density((2, 2), rng)
-    pad_out = qcore.partial_trace(apply(ch, rho), [1])
+    pad_out = qcore.partial_trace(_dense(apply(ch, rho)), [1])
     # everything lands on the erasure flag regardless of input
     np.testing.assert_allclose(pad_out.matrix, np.diag([0, 0, 1.0]), atol=1e-10)
+
+
+def test_apply_returns_one_block_per_channel_block():
+    ch = main_channel(1, Fraction(1, 4), 3)
+    rho = qcore.random_density(ch.in_layout, np.random.default_rng(8), rank=3)
+    out = apply(ch, rho)
+    assert "matrix" not in out.__dict__
+    assert [len(r) for r in out.rows] == [len(rows) for rows, _, _ in ch.blocks]
+    assert [b.shape for b in out.blocks] == [(len(r), len(r)) for r in out.rows]
+    assert not any(b.flags.writeable for b in out.blocks)
+    dense = out.matrix
+    assert dense.shape == (ch.out_dim, ch.out_dim) and not dense.flags.writeable
+    for rows, b in zip(out.rows, out.blocks):
+        np.testing.assert_array_equal(dense[np.ix_(rows, rows)], b)
+    # every entry outside the blocks is zero
+    assert np.count_nonzero(dense) <= sum(b.size for b in out.blocks)
+
+
+@pytest.mark.parametrize("block", [0, -2])
+def test_block_output_checks_hermiticity_and_trace_per_block(block):
+    # main_channel(1, 1/4, 2): the first rocket label block, and the
+    # erasure's data-sent block
+    ch = main_channel(1, Fraction(1, 4), 2)
+    out = apply(ch, qcore.random_density(ch.in_layout, np.random.default_rng(9)))
+    BlockOutput(out.layout, out.rows, out.blocks)  # the output itself passes
+
+    def with_block(b):
+        blocks = list(out.blocks)
+        blocks[block] = b
+        return BlockOutput(out.layout, out.rows, tuple(blocks))
+
+    skew = np.array(out.blocks[block])
+    skew[0, 1] += 1e-8
+    with pytest.raises(ValueError, match="not Hermitian"):
+        with_block(skew)
+    heavy = np.array(out.blocks[block])
+    heavy[0, 0] += 1e-8
+    with pytest.raises(ValueError, match="trace deviates"):
+        with_block(heavy)
 
 
 def test_main_channel_wiring():

@@ -12,7 +12,11 @@ brute-force objective took one batched spectrum per side. The d=3
 outputs, was recorded before the spectra of large outputs were taken
 block by block and `apply` kept to the nonzero support. Every `verify
 all` file was recorded while the Nelder-Mead restarts still ran one by one
-through scipy, before they ran as one lockstep search.
+through scipy, before they ran as one lockstep search. The d=4 `verify
+lower-bound` file, whose witness group has 5120-dimensional outputs, was
+recorded while `apply` still returned every output as one dense matrix,
+and before the brute-force private objective took only the two average
+outputs' spectra.
 """
 
 import json
@@ -33,7 +37,7 @@ CASES = [
         f"verify_lower_bound_n2_d{d}_p1-4_uses3.txt",
         ["verify", "lower-bound", "--n", "2", "--d", str(d), "--p", "1/4", "--uses", "3"],
     )
-    for d in (2, 3)
+    for d in (2, 3, 4)
 ] + [
     ("sweep_locking_p1-2_d2-300.csv", ["sweep", "locking", "--p", "1/2", "--d", "2:300"]),
 ] + [

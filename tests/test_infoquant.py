@@ -63,6 +63,28 @@ def test_holevo_and_private_erasure():
     )
 
 
+@pytest.mark.parametrize("quantity", ["coherent_information", "holevo_bob", "private_value"])
+def test_quantities_never_build_a_dense_kraus_stack(quantity, monkeypatch):
+    ch = main_channel(1, Fraction(1, 4), 3)
+    seen = [ch]
+    complementary = iq.qch.complementary
+
+    def recording(c):
+        seen.append(complementary(c))
+        return seen[-1]
+
+    monkeypatch.setattr(iq.qch, "complementary", recording)
+    rng = np.random.default_rng(12)
+    rho = qcore.random_density(ch.in_layout, rng, rank=2)
+    if quantity == "coherent_information":
+        iq.coherent_information(ch, rho)
+    else:
+        ens = CqEnsemble(((0.5, rho), (0.5, qcore.random_pure(ch.in_layout, rng).to_density())))
+        getattr(iq, quantity)(ch, ens)
+    assert len(seen) == (1 if quantity == "holevo_bob" else 2)
+    assert ["kraus" in c.__dict__ for c in seen] == [False] * len(seen)
+
+
 def test_private_value_vanishes_at_half():
     ch = erasure_channel(Fraction(1, 2), 2)
     assert iq.private_value(ch, _computational_ensemble()).value == pytest.approx(
@@ -92,7 +114,8 @@ def test_brute_force_c1_erasure():
 def _reference_objective(obj, theta):
     """The ensemble objective of one parameter vector, decoded alone, with
     one eigvalsh and one 1-D spectrum_entropy per matrix: the form each row
-    of the batched objective must reproduce bit for bit."""
+    of the batched objective must reproduce bit for bit. The private value
+    is H(B avg) - H(E avg), the members' entropies cancelling."""
     m, d = obj.m, obj.din
     z = theta[: 2 * m * d].reshape(m, 2, d)
     vecs = z[:, 0, :] + 1j * z[:, 1, :]
@@ -104,17 +127,23 @@ def _reference_objective(obj, theta):
     vecs, probs = vecs / norms[:, None], w / tot
     images = np.einsum("kab,xb->xka", obj.kraus, vecs)
 
-    def holevo(outs, avg):
-        return qcore.spectrum_entropy(np.linalg.eigvalsh(avg)) - float(
-            np.sum(probs * [qcore.spectrum_entropy(np.linalg.eigvalsh(o)) for o in outs])
-        )
+    def entropy(m):
+        return qcore.spectrum_entropy(np.linalg.eigvalsh(m))
 
     bob = np.einsum("xka,xkb->xab", images, images.conj())
-    ixb = holevo(bob, np.einsum("x,xab->ab", probs, bob))
+    avg_b = np.einsum("x,xab->ab", probs, bob)
     if not obj.want_private:
-        return ixb
+        return entropy(avg_b) - float(np.sum(probs * [entropy(o) for o in bob]))
     eve = np.einsum("xka,xla->xkl", images, images.conj())
-    return ixb - holevo(eve, np.einsum("x,xkl->kl", probs, eve))
+    return entropy(avg_b) - entropy(np.einsum("x,xkl->kl", probs, eve))
+
+
+def _random_thetas(obj):
+    rng = np.random.default_rng(2024)
+    return [
+        rng.standard_normal(obj.n_params()) * rng.choice([1e-3, 1.0, 30.0])
+        for _ in range(400)
+    ]
 
 
 LEMMA1_SWITCH = switch_channel(
@@ -130,11 +159,7 @@ LEMMA1_SWITCH = switch_channel(
 )
 def test_ensemble_objective_is_bit_identical_to_per_member_loop(ch, want_private):
     obj = iq._EnsembleObjective(ch, want_private)
-    rng = np.random.default_rng(2024)
-    thetas = iq._structured_starts(ch, obj) + [
-        rng.standard_normal(obj.n_params()) * rng.choice([1e-3, 1.0, 30.0])
-        for _ in range(400)
-    ]
+    thetas = iq._structured_starts(ch, obj) + _random_thetas(obj)
     # the decode-failure sentinels, all-zero vectors and all-zero weights,
     # sit between ordinary rows of the same batch
     zero_weights = thetas[0].copy()
@@ -147,6 +172,29 @@ def test_ensemble_objective_is_bit_identical_to_per_member_loop(ch, want_private
     assert [got[i] for i in sentinels] == [-1e3, -1e3]
     mismatches = [i for i, t in enumerate(thetas) if got[i] != _reference_objective(obj, t)]
     assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [LEMMA1_SWITCH, erasure_channel(Fraction(1, 4), 2)],
+    ids=["lemma1-switch", "erasure-1/4"],
+)
+def test_private_objective_equals_the_per_member_holevo_difference(ch):
+    # H(B avg) - H(E avg) against I(X;B) - I(X;E) with every member's entropy
+    obj = iq._EnsembleObjective(ch, want_private=True)
+    thetas = np.stack(_random_thetas(obj))
+    vecs, probs, ok = obj.decode(thetas)
+    assert ok.all()
+    images = np.einsum("kab,yxb->yxka", obj.kraus, vecs)
+
+    def holevo(outs):
+        avg = np.einsum("yx,yxab->yab", probs, outs)
+        h_avg, h_outs = (qcore.spectrum_entropy(np.linalg.eigvalsh(m)) for m in (avg, outs))
+        return h_avg - np.sum(probs * h_outs, axis=1)
+
+    bob = holevo(np.einsum("yxka,yxkb->yxab", images, images.conj()))
+    eve = holevo(np.einsum("yxka,yxla->yxkl", images, images.conj()))
+    np.testing.assert_allclose(obj.value(thetas), bob - eve, rtol=0, atol=1e-12)
 
 
 def _assert_matches_scipy(res, fun, x0s, iterations):

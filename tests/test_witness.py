@@ -6,6 +6,7 @@ materialized evaluation is pinned here at the largest size that fits.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,19 @@ def test_main_channel_with_two_rockets_at_desk_scale():
     )
     res = iq.coherent_information(ch, rho)
     assert res.value == pytest.approx(float(1 - 2 * P) * math.log2(2), abs=1e-9)
+
+
+def test_d4_witness_keeps_outputs_as_blocks():
+    # the paired group's 5120-dimensional outputs, held dense, were two
+    # 400 MiB arrays and put the peak at 1.27 GiB
+    tracemalloc.start()
+    try:
+        res = iq.witness_coherent_info(2, P, 4, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["rate_per_use"] == pytest.approx(1.0, abs=1e-9)
+    assert peak < 256 * 2**20
 
 
 def test_witness_rates():
