@@ -14,6 +14,8 @@ from fractions import Fraction
 
 from . import as_fraction
 
+_LOG2E = math.log2(math.e)
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -118,13 +120,15 @@ def locking_upper(p, d: int) -> float:
     """Upper bound (1-p) log2(d) - p gamma_d log2(e) on the key rate that
     survives when the adversary's side information is measured."""
     p = as_fraction(p)
-    if p > Fraction(1, 2):
-        raise ValueError(f"locking bound needs p <= 1/2, got {p}")
+    num, den = p.numerator, p.denominator  # den > 0, so 0 <= p <= 1/2 on integers
+    if not 0 <= 2 * num <= den:
+        raise ValueError(f"locking bound needs 0 <= p <= 1/2, got {p}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     from .infoquant import gamma_d  # deferred: it pulls in numpy; bounds stays light
 
-    return (1.0 - float(p)) * math.log2(d) - float(p) * gamma_d(d) * math.log2(math.e)
+    pf = num / den  # what float(p) computes, bit for bit
+    return (1.0 - pf) * math.log2(d) - pf * gamma_d(d) * _LOG2E
 
 
 def classical_add_upper(c1_of_n, n: int, p, log2d) -> Fraction:
@@ -185,29 +189,56 @@ def theorem_report(n: int) -> TheoremReport:
     (i < k) of p1_upper, U3 the pure erasure branch (which equals 4 n^2
     regardless of k). The row passes iff all three differences against
     L = q_lower(k+1) are strictly positive.
+
+    The rows are a closed form over one integer denominator per row. With
+    a = (1-p) log2d = an/ad and U3 = (1-2p) log2d = bn/bd in lowest terms,
+    every cell of row k is a multiple of 1/D, D = k(k+1) ad bd:
+
+        L  = k a / (k+1)                  = k^2 an bd / D
+        U1 = 2n / k                       = 2n (k+1) ad bd / D
+        U2 = max(2kn, 2n + (k-1) a) / k   = (k+1) bd max(2nk ad, 2n ad + (k-1) an) / D
+        U3 = (1-2p) log2d                 = k (k+1) ad bn / D
+
+    U2 is the larger of the classical and mixed(i=k-1) totals of _branches
+    (at k = 1 both are 2n). Writing L = l/D and U_i = v_i/D, the difference
+    D_i is (l - v_i)/D, and since D > 0 the row passes iff
+    min(l - v1, l - v2, l - v3) > 0, decided on integers. Each printed cell
+    is one Fraction(num, den), reduced once.
     """
     params = theorem_params(n)
+    return TheoremReport(params=params, rows=_theorem_rows(params))
+
+
+def _theorem_rows(params: BoundParams) -> tuple[TheoremRow, ...]:
+    """The rows k = 1..n-1 of the theorem report at any (n, p, log2d), by
+    the closed form derived in theorem_report."""
+    n = params.n
+    a = (1 - params.p) * params.log2d
+    u3 = (1 - 2 * params.p) * params.log2d
+    an, ad = a.numerator, a.denominator
+    bn, bd = u3.numerator, u3.denominator
     rows = []
     for k in range(1, n):
-        u1 = Fraction(2 * n, k)
-        u2 = max(val for val, label in _branches(params, k) if label != "erasure") / k
-        u3 = (1 - 2 * params.p) * params.log2d
-        lower = q_lower(params, k + 1)
-        d1, d2, d3 = lower - u1, lower - u2, lower - u3
+        den = k * (k + 1) * ad * bd
+        u2_num = max(2 * n * k * ad, 2 * n * ad + (k - 1) * an)  # U2 = u2_num / (k ad)
+        low = k * k * an * bd  # L = low / den
+        diff1 = low - 2 * n * (k + 1) * ad * bd
+        diff2 = low - (k + 1) * bd * u2_num
+        diff3 = low - k * (k + 1) * ad * bn
         rows.append(
             TheoremRow(
                 k=k,
-                u1=u1,
-                u2=u2,
+                u1=Fraction(2 * n, k),
+                u2=Fraction(u2_num, k * ad),
                 u3=u3,
-                lower=lower,
-                d1=d1,
-                d2=d2,
-                d3=d3,
-                ok=min(d1, d2, d3) > 0,
+                lower=Fraction(k * an, (k + 1) * ad),
+                d1=Fraction(diff1, den),
+                d2=Fraction(diff2, den),
+                d3=Fraction(diff3, den),
+                ok=min(diff1, diff2, diff3) > 0,
             )
         )
-    return TheoremReport(params=params, rows=tuple(rows))
+    return tuple(rows)
 
 
 def conjecture_threshold(p, n: int) -> Fraction:

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcap import infoquant as iq
 from qcap.bounds import (
     BoundParams,
+    TheoremRow,
+    _theorem_rows,
     classical_add_upper,
     conjecture_threshold,
     erasure_capacity_formulas,
@@ -54,6 +57,24 @@ def test_locking_upper_values():
     assert got == pytest.approx(0.360674, abs=1e-6)
     with pytest.raises(ValueError):
         locking_upper(Fraction(3, 5), 2)
+
+
+@pytest.mark.parametrize("p", [Fraction(-1, 4), -3, "-1/1000000", -0.5])
+def test_locking_upper_rejects_negative_p(p):
+    # a negative p would read more than log2 d bits: 1.3197 at p = -1/4, d = 2
+    with pytest.raises(ValueError, match="0 <= p <= 1/2"):
+        locking_upper(p, 2)
+
+
+def test_locking_upper_is_bit_identical_to_the_float_expression():
+    # d descending makes every step restart gamma_d's harmonic sum; each p
+    # at the same d then reuses it
+    ps = [Fraction(k, 24) for k in range(13)]
+    for ds in (range(1, 3001), range(3000, 0, -1)):
+        for d in ds:
+            for p in ps:
+                old = (1 - float(p)) * math.log2(d) - float(p) * iq.gamma_d(d) * math.log2(math.e)
+                assert locking_upper(p, d).hex() == old.hex(), (p, d)
 
 
 def test_classical_add_upper():
@@ -119,6 +140,59 @@ def test_p1_upper_equals_loop_over_every_split():
                     assert p1_upper(params, k) == _p1_upper_by_loop(params, k)
                     ties += log2d == tie and k > 1
     assert ties > 0
+
+
+def _theorem_rows_by_fractions(params):
+    """The report's rows from Fraction expressions: L = q_lower(k+1) against
+    2n/k, the best non-erasure split over k, and (1-2p) log2d."""
+    rows = []
+    for k in range(1, params.n):
+        lower = q_lower(params, k + 1)
+        u1 = Fraction(2 * params.n, k)
+        u2 = max(v for v, label in _branches_by_loop(params, k) if label != "erasure") / k
+        u3 = (1 - 2 * params.p) * params.log2d
+        d1, d2, d3 = lower - u1, lower - u2, lower - u3
+        rows.append(TheoremRow(k, u1, u2, u3, lower, d1, d2, d3, min(d1, d2, d3) > 0))
+    return tuple(rows)
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    p=st.fractions(0, Fraction(1, 2), max_denominator=48),
+    log2d=st.fractions(Fraction(1, 8), 64, max_denominator=24),
+)
+def test_theorem_rows_equal_fraction_expressions(n, p, log2d):
+    params = BoundParams(n, p, log2d)
+    assert _theorem_rows(params) == _theorem_rows_by_fractions(params)
+
+
+def test_theorem_rows_at_the_mixed_tie_and_at_half():
+    for n in range(2, 9):
+        for num in (0, 1, 8, 11, 12):
+            p = Fraction(num, 24)
+            tie = 2 * n / (1 - p)  # (1-p) log2d == 2n: classical and mixed(i=k-1) tie
+            for log2d in (tie, tie - Fraction(1, 97), tie + Fraction(1, 97)):
+                params = BoundParams(n, p, log2d)
+                rows = _theorem_rows(params)
+                assert rows == _theorem_rows_by_fractions(params)
+                if log2d == tie:
+                    assert all(r.u2 == 2 * n and not r.ok for r in rows)
+        half = BoundParams(n, Fraction(1, 2), Fraction(48 * n * n))
+        rows = _theorem_rows(half)
+        assert rows == _theorem_rows_by_fractions(half)
+        assert all(r.u3 == 0 and r.d3 == r.lower for r in rows)
+
+
+def test_theorem_rows_fail_on_a_zero_difference():
+    # the edges of the passing region: D3 = 0 at k = 1 when p = 1/3, and
+    # D2 = 0 at k = n-1 when log2d = 2n^2/(1-p)
+    for n in range(2, 9):
+        edge_p = _theorem_rows(BoundParams(n, Fraction(1, 3), Fraction(48 * n * n)))
+        assert edge_p[0].d3 == 0 and not edge_p[0].ok
+        p = Fraction(11, 24)
+        edge_d = _theorem_rows(BoundParams(n, p, 2 * n * n / (1 - p)))
+        assert edge_d[-1].d2 == 0 and not edge_d[-1].ok
 
 
 def test_theorem_u2_equals_loop_over_every_split():

@@ -11,6 +11,7 @@ from qcap.channels import (
     CqEnsemble,
     erasure_channel,
     main_channel,
+    rocket_channel,
     switch_channel,
     tensor_channels,
 )
@@ -90,6 +91,19 @@ def test_private_value_vanishes_at_half():
     assert iq.private_value(ch, _computational_ensemble()).value == pytest.approx(
         0.0, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_pauli_rocket_leaks_log2d_to_bob(d):
+    # Generalised Paulis map basis states to basis states, so the dephasing
+    # only adds a phase and the announced label reveals the first input:
+    # {1/d, |i>|0>} reaches log2 d bits toward Bob, above the exact lane's
+    # 2-bit charge per rocket once d >= 5 (README "Numerical notes").
+    ch = rocket_channel(d, "pauli")
+    ens = CqEnsemble(tuple((1.0 / d, basis_state((d, d), i * d).to_density()) for i in range(d)))
+    bits = iq.holevo_bob(ch, ens).value
+    assert bits == pytest.approx(math.log2(d), abs=1e-9)
+    assert (bits > 2) == (d >= 5)
 
 
 def test_brute_force_deterministic():
