@@ -1,6 +1,8 @@
 """CPTP maps as direct sums of Kraus blocks, their canonical complements,
 and the switched rocket/erasure constructions, plus a JSON channel-spec
-format.
+format: a channel's spec is its canonical JSON object, which the
+constructors store in QuantumChannel.spec, spec_to_channel checks and builds
+from in one pass, and serialize_channel_spec dumps.
 
 The switch flag and the rocket's announced label are classical registers
 that Bob and Eve both see, so a channel is stored block by block: a block
@@ -30,7 +32,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -46,19 +47,6 @@ class ChannelSpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
-    """Declarative channel tree; serializes to the JSON schema."""
-
-    kind: str
-    p: Fraction | None = None
-    d: int | None = None
-    ensemble: str | None = None
-    components: tuple["ChannelSpec", ...] | None = None
-    factors: tuple["ChannelSpec", ...] | None = None
-    matrices: tuple | None = None  # raw kraus, tuple of ndarrays
-
-
-@dataclass(frozen=True)
 class QuantumChannel:
     """Kraus family with input/output/environment layouts, as blocks.
 
@@ -68,14 +56,15 @@ class QuantumChannel:
     Kraus index. env_layout describes the grouping of the Kraus index (the
     canonical environment). The channel keeps read-only copies of the blocks
     it is given, so its caller cannot change it afterwards. `kraus` is the
-    dense (n_kraus, out_dim, in_dim) stack, built on first access.
+    dense (n_kraus, out_dim, in_dim) stack, built on first access. `spec`
+    is the canonical JSON object, or None (a complement, for instance).
     """
 
     in_layout: SystemLayout
     out_layout: SystemLayout
     env_layout: SystemLayout
     blocks: tuple = field(repr=False)
-    spec: ChannelSpec | None = None
+    spec: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "in_layout", layout_of(self.in_layout))
@@ -262,7 +251,7 @@ def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
             blocks.append((rows, env, k))
     spec = None
     if a.spec is not None and b.spec is not None:
-        spec = ChannelSpec(kind="tensor", factors=(a.spec, b.spec))
+        spec = {"kind": "tensor", "factors": [a.spec, b.spec]}
     return QuantumChannel(in_lay, out_lay, env_lay, tuple(blocks), spec)
 
 
@@ -286,7 +275,7 @@ def identity_channel(d: int) -> QuantumChannel:
         SystemLayout((d,)),
         SystemLayout((1,)),
         ((range(d), [0], np.eye(d)[None]),),
-        ChannelSpec(kind="identity", d=d),
+        {"kind": "identity", "d": d},
     )
 
 
@@ -310,8 +299,10 @@ def erasure_channel(p, d: int) -> QuantumChannel:
     if p != 0:
         first = len(blocks)
         blocks.append(([d], range(first, first + d), math.sqrt(pf) * np.eye(d)[:, None]))
-    kind = "full_erasure" if p == 1 else "erasure"
-    spec = ChannelSpec(kind=kind, p=None if p == 1 else p, d=d)
+    if p == 1:
+        spec = {"kind": "full_erasure", "d": d}
+    else:
+        spec = {"kind": "erasure", "p": str(p), "d": d}
     n_kraus = (p != 1) + d * (p != 0)
     return QuantumChannel(
         SystemLayout((d,)), SystemLayout((d + 1,)), SystemLayout((n_kraus,)), tuple(blocks), spec
@@ -389,7 +380,7 @@ def rocket_channel(d: int, ensemble: str = "pauli") -> QuantumChannel:
         SystemLayout((nr, d)),
         SystemLayout((nr, d)),
         tuple(blocks),
-        ChannelSpec(kind="rocket", d=d, ensemble=ensemble),
+        {"kind": "rocket", "d": d, "ensemble": ensemble},
     )
 
 
@@ -424,7 +415,7 @@ def switch_channel(components) -> QuantumChannel:
         first += c.n_kraus
     spec = None
     if all(c.spec is not None for c in comps):
-        spec = ChannelSpec(kind="switch", components=tuple(c.spec for c in comps))
+        spec = {"kind": "switch", "components": [c.spec for c in comps]}
     return QuantumChannel(
         SystemLayout((m, din)),
         SystemLayout((m, dout)),
@@ -473,24 +464,6 @@ def _matrix_from_json(obj) -> np.ndarray:
     return m
 
 
-def spec_to_json(spec: ChannelSpec) -> dict:
-    if spec.kind == "erasure":
-        return {"kind": "erasure", "p": str(spec.p), "d": spec.d}
-    if spec.kind == "full_erasure":
-        return {"kind": "full_erasure", "d": spec.d}
-    if spec.kind == "rocket":
-        return {"kind": "rocket", "d": spec.d, "ensemble": spec.ensemble}
-    if spec.kind == "identity":
-        return {"kind": "identity", "d": spec.d}
-    if spec.kind == "switch":
-        return {"kind": "switch", "components": [spec_to_json(s) for s in spec.components]}
-    if spec.kind == "tensor":
-        return {"kind": "tensor", "factors": [spec_to_json(s) for s in spec.factors]}
-    if spec.kind == "kraus":
-        return {"kind": "kraus", "matrices": [_matrix_to_json(m) for m in spec.matrices]}
-    raise ChannelSpecError(f"unknown spec kind {spec.kind!r}")
-
-
 def _dim_from_json(value) -> int:
     """A dimension field: a number or string that reads as an integer."""
     d = as_fraction(value)
@@ -499,35 +472,50 @@ def _dim_from_json(value) -> int:
     return int(d)
 
 
-def json_to_spec(obj) -> ChannelSpec:
+def spec_to_channel(obj) -> QuantumChannel:
+    """Check a decoded JSON channel object and build the channel in one
+    pass, so the first fault in document order is the one raised. Plain
+    loops keep nesting at one frame per level, below the JSON decoder's."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ChannelSpecError("channel spec must be an object with a \"kind\" field")
     kind = obj["kind"]
     try:
         if kind == "erasure":
-            return ChannelSpec(kind="erasure", p=as_fraction(obj["p"]), d=_dim_from_json(obj["d"]))
+            return erasure_channel(as_fraction(obj["p"]), _dim_from_json(obj["d"]))
         if kind == "full_erasure":
-            return ChannelSpec(kind="full_erasure", d=_dim_from_json(obj["d"]))
+            return erasure_channel(1, _dim_from_json(obj["d"]))
         if kind == "rocket":
-            return ChannelSpec(
-                kind="rocket",
-                d=_dim_from_json(obj["d"]),
-                ensemble=str(obj.get("ensemble", "pauli")),
-            )
+            return rocket_channel(_dim_from_json(obj["d"]), str(obj.get("ensemble", "pauli")))
         if kind == "identity":
-            return ChannelSpec(kind="identity", d=_dim_from_json(obj["d"]))
+            return identity_channel(_dim_from_json(obj["d"]))
         if kind == "switch":
-            return ChannelSpec(
-                kind="switch", components=tuple(json_to_spec(s) for s in obj["components"])
-            )
+            comps = []
+            for s in obj["components"]:
+                comps.append(spec_to_channel(s))
+            return switch_channel(comps)
         if kind == "tensor":
-            factors = tuple(json_to_spec(s) for s in obj["factors"])
-            if not factors:
+            ch = None
+            for s in obj["factors"]:
+                factor = spec_to_channel(s)
+                ch = factor if ch is None else tensor_channels(ch, factor)
+            if ch is None:
                 raise ChannelSpecError("tensor needs at least one factor")
-            return ChannelSpec(kind="tensor", factors=factors)
+            return ch
         if kind == "kraus":
-            mats = tuple(_matrix_from_json(m) for m in obj["matrices"])
-            return ChannelSpec(kind="kraus", matrices=mats)
+            mats = [_matrix_from_json(m) for m in obj["matrices"]]
+            if not mats:
+                raise ChannelSpecError("kraus spec needs at least one matrix")
+            dout, din = mats[0].shape
+            if any(m.shape != (dout, din) for m in mats):
+                raise ChannelSpecError("kraus matrices must share one shape")
+            check_dim(max(dout, din), "kraus channel")
+            return QuantumChannel(
+                SystemLayout((din,)),
+                SystemLayout((dout,)),
+                SystemLayout((len(mats),)),
+                ((range(dout), range(len(mats)), np.stack(mats)),),
+                {"kind": "kraus", "matrices": [_matrix_to_json(m) for m in mats]},
+            )
     except KeyError as exc:
         raise ChannelSpecError(f"channel spec {kind!r} missing field {exc}") from None
     except ChannelSpecError:
@@ -537,47 +525,10 @@ def json_to_spec(obj) -> ChannelSpec:
     raise ChannelSpecError(f"unknown channel kind {kind!r}")
 
 
-def spec_to_channel(spec: ChannelSpec) -> QuantumChannel:
-    if spec.kind == "erasure":
-        return erasure_channel(spec.p, spec.d)
-    if spec.kind == "full_erasure":
-        return erasure_channel(1, spec.d)
-    if spec.kind == "rocket":
-        return rocket_channel(spec.d, spec.ensemble)
-    if spec.kind == "identity":
-        return identity_channel(spec.d)
-    if spec.kind == "switch":
-        return switch_channel([spec_to_channel(s) for s in spec.components])
-    if spec.kind == "tensor":
-        ch = spec_to_channel(spec.factors[0])
-        for s in spec.factors[1:]:
-            ch = tensor_channels(ch, spec_to_channel(s))
-        return ch
-    if spec.kind == "kraus":
-        mats = [np.asarray(m, dtype=np.complex128) for m in spec.matrices]
-        if not mats:
-            raise ChannelSpecError("kraus spec needs at least one matrix")
-        dout, din = mats[0].shape
-        if any(m.shape != (dout, din) for m in mats):
-            raise ChannelSpecError("kraus matrices must share one shape")
-        check_dim(max(dout, din), "kraus channel")
-        return QuantumChannel(
-            SystemLayout((din,)),
-            SystemLayout((dout,)),
-            SystemLayout((len(mats),)),
-            ((range(dout), range(len(mats)), np.stack(mats)),),
-            spec,
-        )
-    raise ChannelSpecError(f"unknown spec kind {spec.kind!r}")
-
-
-def serialize_channel_spec(ch: QuantumChannel | ChannelSpec) -> str:
+def serialize_channel_spec(ch: QuantumChannel) -> str:
     """JSON text for a channel; falls back to a raw Kraus dump when the
     channel carries no declarative spec."""
-    if isinstance(ch, ChannelSpec):
-        spec = ch
-    elif ch.spec is not None:
-        spec = ch.spec
-    else:
-        spec = ChannelSpec(kind="kraus", matrices=tuple(np.asarray(k) for k in ch.kraus))
-    return json.dumps(spec_to_json(spec), separators=(",", ":"))
+    spec = ch.spec
+    if spec is None:
+        spec = {"kind": "kraus", "matrices": [_matrix_to_json(k) for k in ch.kraus]}
+    return json.dumps(spec, separators=(",", ":"))

@@ -129,13 +129,15 @@ def _load_json_file(path: str):
         raise DataError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise DataError(f"{path}: JSON nested too deeply")
 
 
 def _load_channel(path: str):
     from . import channels as qch
 
     try:
-        return qch.spec_to_channel(qch.json_to_spec(_load_json_file(path)))
+        return qch.spec_to_channel(_load_json_file(path))
     except qch.ChannelSpecError as exc:
         raise DataError(f"{path}: {exc}")
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import as_fraction, qcore
 from . import channels as qch
 from .channels import BlockOutput, CqEnsemble, QuantumChannel
-from .qcore import DensityOperator, PureState, SystemLayout
+from .qcore import DensityOperator, PureState
 
 MAX_BRUTE_DIM = 8
 
@@ -215,8 +215,8 @@ def _structured_starts(ch: QuantumChannel, obj: _EnsembleObjective) -> list[np.n
         return theta
 
     starts = [encode([x % d for x in range(m)], [1.0] * m)]
-    if ch.spec is not None and ch.spec.kind == "switch":
-        flag_dim = len(ch.spec.components)
+    if ch.spec is not None and ch.spec["kind"] == "switch":
+        flag_dim = len(ch.spec["components"])
         data_dim = d // flag_dim  # every component's input dimension
         for c in range(flag_dim):
             idx = [c * data_dim + (x % data_dim) for x in range(m)]
@@ -432,9 +432,6 @@ def witness_state(n: int, d: int, j: int) -> tuple[DensityOperator, WitnessLayou
         canonical += [f"use{u}.flag", f"use{u}.data", f"use{u}.pad"]
     perm = [names.index(nm) for nm in canonical]
     rho = qcore.permute_systems(rho, perm)
-    rho = DensityOperator(
-        SystemLayout(rho.layout.dims, tuple(canonical)), rho.matrix, check_psd=False
-    )
 
     dims = dict(zip(canonical, rho.layout.dims))
     layout_doc = WitnessLayout(
@@ -520,6 +517,7 @@ def harmonic(n: int) -> Fraction:
 # sum_{t=2..d} 1/t for the last d that gamma_d saw, held exactly as the
 # two-term fsum partials [lo, hi]: hi is the rounded sum, lo the remainder.
 _harmonic_tail = {"d": 1, "partials": [0.0, 0.0]}
+_HARMONIC_CHUNK = 2**16  # terms held in memory at once
 
 
 def gamma_d(d: int) -> float:
@@ -529,20 +527,25 @@ def gamma_d(d: int) -> float:
     constant itself, despite the resemblance of the definition). The sum
     for the last d asked for is kept exactly, so calls with ascending d (a
     locking sweep) cost O(1) per step; a smaller d restarts from t = 2.
+    The terms are summed in chunks of _HARMONIC_CHUNK, each carrying the
+    exact partials of the ones before, so memory does not grow with d.
     """
     if d < 1:
         raise ValueError(f"gamma_d needs d >= 1, got {d}")
     last, partials = _harmonic_tail["d"], _harmonic_tail["partials"]
     if d < last:
-        last, partials = 1, []
-    terms = partials + [1.0 / t for t in range(last + 1, d + 1)]
-    hi = math.fsum(terms)
-    # The exact sum S and hi are multiples of ulp(1/d) and |S - hi| is at
-    # most ulp(hi) / 2, so S - hi has about log2(d) significant bits and
-    # fsum returns it exactly: [S - hi, hi] sums to S with no rounding.
-    terms.append(-hi)
-    _harmonic_tail.update(d=d, partials=[math.fsum(terms), hi])
-    return math.log(d) - hi
+        last, partials = 1, [0.0, 0.0]
+    for start in range(last + 1, d + 1, _HARMONIC_CHUNK):
+        stop = min(start + _HARMONIC_CHUNK, d + 1)
+        terms = partials + [1.0 / t for t in range(start, stop)]
+        hi = math.fsum(terms)
+        # The exact sum S and hi are multiples of ulp(1/(stop-1)) and |S - hi|
+        # is at most ulp(hi) / 2, so S - hi has about log2(stop) significant
+        # bits and fsum returns it exactly: [S - hi, hi] sums to S unrounded.
+        terms.append(-hi)
+        partials = [math.fsum(terms), hi]
+    _harmonic_tail.update(d=d, partials=partials)
+    return math.log(d) - partials[1]
 
 
 def subentropy(rho: DensityOperator) -> float:

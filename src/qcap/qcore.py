@@ -1,4 +1,4 @@
-"""Dense complex linear algebra over labeled multipartite systems.
+"""Dense complex linear algebra over multipartite systems.
 
 States live on a SystemLayout (an ordered tuple of subsystem dimensions);
 matrices are plain numpy complex128 arrays in row-major order. All entropies
@@ -55,10 +55,9 @@ def check_dim(total: int, what: str = "operator space") -> int:
 
 @dataclass(frozen=True)
 class SystemLayout:
-    """Ordered subsystem dimensions, with optional unique labels."""
+    """Ordered subsystem dimensions."""
 
     dims: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -67,13 +66,6 @@ class SystemLayout:
             raise ValueError("layout needs at least one subsystem")
         if any(d < 1 for d in dims):
             raise ValueError(f"subsystem dimensions must be >= 1: {dims}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != len(dims):
-                raise ValueError("labels must match dims in length")
-            if len(set(labels)) != len(labels):
-                raise ValueError("labels must be unique")
 
     @property
     def total(self) -> int:
@@ -86,10 +78,7 @@ class SystemLayout:
         return len(self.dims)
 
     def concat(self, other: "SystemLayout") -> "SystemLayout":
-        labels = None
-        if self.labels is not None and other.labels is not None:
-            labels = self.labels + other.labels
-        return SystemLayout(self.dims + other.dims, labels)
+        return SystemLayout(self.dims + other.dims)
 
 
 def layout_of(dims) -> SystemLayout:
@@ -219,12 +208,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     total = 1
     for d in kept_dims:
         total *= d
-    labels = None
-    if rho.layout.labels is not None:
-        labels = tuple(rho.layout.labels[k] for k in keep)
-    return DensityOperator(
-        SystemLayout(kept_dims, labels), a.reshape(total, total), check_psd=False
-    )
+    return DensityOperator(SystemLayout(kept_dims), a.reshape(total, total), check_psd=False)
 
 
 def permute_systems(rho: DensityOperator, perm) -> DensityOperator:
@@ -237,14 +221,7 @@ def permute_systems(rho: DensityOperator, perm) -> DensityOperator:
     a = rho.matrix.reshape(dims + dims)
     a = np.transpose(a, perm + tuple(p + n for p in perm))
     new_dims = tuple(dims[p] for p in perm)
-    labels = None
-    if rho.layout.labels is not None:
-        labels = tuple(rho.layout.labels[p] for p in perm)
-    return DensityOperator(
-        SystemLayout(new_dims, labels),
-        a.reshape(rho.dim, rho.dim),
-        check_psd=False,
-    )
+    return DensityOperator(SystemLayout(new_dims), a.reshape(rho.dim, rho.dim), check_psd=False)
 
 
 def spectrum_entropy(w):

@@ -16,7 +16,6 @@ from qcap.channels import (
     complementary,
     erasure_channel,
     identity_channel,
-    json_to_spec,
     main_channel,
     padded_erasure,
     rocket_channel,
@@ -84,7 +83,7 @@ def test_as_fraction_forms():
     assert as_fraction(0.25) == Fraction(1, 4)
     assert as_fraction(0.1) == Fraction(1, 10)  # the decimal it prints as
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
-    # plain ValueError; json_to_spec is what turns it into ChannelSpecError
+    # plain ValueError; spec_to_channel is what turns it into ChannelSpecError
     for bad in ("eleven", "1/0", None, [1, 4]):
         with pytest.raises(ValueError) as exc:
             as_fraction(bad)
@@ -191,7 +190,7 @@ def test_switch_channel_structure():
     assert sw.out_layout.dims == (2, 3)
     assert sw.n_kraus == a.n_kraus + b.n_kraus
     _assert_cptp(sw)
-    comps = sw.spec.components
+    comps = sw.spec["components"]
     assert len(comps) == 2
     np.testing.assert_allclose(spec_to_channel(comps[0]).kraus, a.kraus, atol=1e-12)
     with pytest.raises(ChannelSpecError):
@@ -296,8 +295,8 @@ def test_main_channel_wiring():
     assert ch.in_layout.dims == (2, 2, 2)
     assert ch.out_layout.dims == (2, 32)
     _assert_cptp(ch)
-    comps = ch.spec.components
-    assert comps[0].kind == "rocket" or comps[0].kind == "tensor"
+    comps = ch.spec["components"]
+    assert comps[0]["kind"] == "rocket" or comps[0]["kind"] == "tensor"
 
 
 def test_ensemble_validation():
@@ -310,7 +309,7 @@ def test_ensemble_validation():
 
 
 def _from_json(text) -> QuantumChannel:
-    return spec_to_channel(json_to_spec(json.loads(text)))
+    return spec_to_channel(json.loads(text))
 
 
 def test_spec_json_roundtrip():
@@ -370,11 +369,60 @@ _valid_specs = st.one_of(
 @settings(max_examples=60, database=None, deadline=None)
 @given(obj=_valid_specs)
 def test_serialized_spec_is_a_fixed_point(obj):
-    ch = spec_to_channel(json_to_spec(obj))
+    ch = spec_to_channel(obj)
     text = serialize_channel_spec(ch)
     again = _from_json(text)
     assert serialize_channel_spec(again) == text
     np.testing.assert_array_equal(again.kraus, ch.kraus)
+
+
+_ID2 = {"kind": "identity", "d": 2}
+
+
+# texts recorded before the spec became the JSON object itself
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: spec_to_channel({"kind": "erasure", "p": 0.25, "d": 2}),
+         '{"kind":"erasure","p":"1/4","d":2}'),
+        (lambda: spec_to_channel({"kind": "erasure", "p": "2/8", "d": "3"}),
+         '{"kind":"erasure","p":"1/4","d":3}'),
+        (lambda: spec_to_channel({"kind": "full_erasure", "d": 2}),
+         '{"kind":"full_erasure","d":2}'),
+        (lambda: spec_to_channel({"kind": "rocket", "d": 2}),
+         '{"kind":"rocket","d":2,"ensemble":"pauli"}'),
+        (lambda: spec_to_channel({"kind": "identity", "d": 2.0}), '{"kind":"identity","d":2}'),
+        (lambda: spec_to_channel(
+            {"kind": "switch", "components": [_ID2, {"kind": "erasure", "p": "1/3", "d": 2}]}),
+         '{"kind":"switch","components":[{"kind":"identity","d":2},'
+         '{"kind":"erasure","p":"1/3","d":2}]}'),
+        (lambda: spec_to_channel({"kind": "kraus", "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+         '{"kind":"kraus","matrices":[[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[1.0,0.0]]]]}'),
+        (lambda: complementary(erasure_channel(Fraction(1, 4), 1)),
+         '{"kind":"kraus","matrices":[[[[0.8660254037844386,0.0]],[[0.0,0.0]]],'
+         '[[[0.0,0.0]],[[0.5,0.0]]]]}'),
+        (lambda: main_channel(1, Fraction(1, 4), 3),
+         '{"kind":"switch","components":[{"kind":"rocket","d":3,"ensemble":"pauli"},'
+         '{"kind":"tensor","factors":[{"kind":"erasure","p":"1/4","d":3},'
+         '{"kind":"full_erasure","d":3}]}]}'),
+    ],
+    ids=["erasure-float-p", "erasure-string-fields", "full-erasure", "rocket-default-ensemble",
+         "identity-float-d", "switch", "kraus-integer-entries", "complement", "main-channel"],
+)
+def test_serialized_text_is_pinned(make, text):
+    assert serialize_channel_spec(make()) == text
+
+
+def test_spec_does_not_share_the_callers_object():
+    obj = {"kind": "switch", "components": [
+        dict(_ID2), {"kind": "kraus", "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+    ]}
+    ch = spec_to_channel(obj)
+    text = serialize_channel_spec(ch)
+    obj["components"][0]["d"] = 3
+    obj["components"][1]["matrices"][0][0][0][0] = 7
+    obj["components"].append(_ID2)
+    assert serialize_channel_spec(ch) == text
 
 
 def test_kraus_spec_roundtrip():

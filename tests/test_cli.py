@@ -152,10 +152,12 @@ def test_info_bad_state_matrix(capsys, tmp_path):
         # a document whose value is a string holding JSON is not decoded twice
         json.dumps({"kind": "identity", "d": 2}),
         b"{not json",  # bytes are the file's raw contents
+        # deeper than the JSON decoder's recursion allows
+        b'{"kind":"tensor","factors":[' * 1000 + b'{"kind":"identity","d":2}' + b"]}" * 1000,
     ],
     ids=["d-not-int", "d-infinite", "components-not-list", "no-factors", "matrices-not-list",
          "empty-matrix", "nan-entry", "dimension-mismatch", "d-fraction", "d-fraction-string",
-         "document-is-a-string", "not-json"],
+         "document-is-a-string", "not-json", "nested-too-deep"],
 )
 def test_malformed_channel_spec_exits_65(capsys, tmp_path, spec):
     if isinstance(spec, bytes):
@@ -168,6 +170,18 @@ def test_malformed_channel_spec_exits_65(capsys, tmp_path, spec):
     assert code == 65
     assert out == ""
     assert err.startswith("qcap: error: ") and "Traceback" not in err
+
+
+def test_deeply_nested_tensor_loads(capsys, tmp_path):
+    # a single-factor tensor is its factor, so the nest is the identity on C^2
+    spec = {"kind": "identity", "d": 2}
+    for _ in range(200):
+        spec = {"kind": "tensor", "factors": [spec]}
+    chan = write_channel(tmp_path, spec)
+    state = write_state(tmp_path, [0.5, 0.5])
+    code, out, err = run(capsys, "info", "coherent", "--channel", chan, "--state", state)
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("cap", ["abc", "1"])

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -380,6 +381,21 @@ def test_gamma_d_is_bit_identical_in_any_call_order():
     random.Random(5).shuffle(shuffled)
     for order in (list(ds), list(reversed(ds)), shuffled):
         assert [d for d in order if iq.gamma_d(d) != expect[d]] == []
+
+
+def test_gamma_d_memory_does_not_grow_with_d():
+    # a list of all d terms would peak near 38 MiB here; the sum spans 16 chunks
+    d = 10**6
+    expect = math.log(d) - math.fsum(1.0 / t for t in range(2, d + 1))
+    iq.gamma_d(1)  # drop the cached partial sum so the call starts from t = 2
+    tracemalloc.start()
+    try:
+        value = iq.gamma_d(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expect
+    assert peak < 8 * 2**20
 
 
 def test_haar_measured_entropy_pure_qubit():

@@ -34,8 +34,6 @@ def test_layout_total_and_concat():
 def test_layout_rejects_bad_dims():
     with pytest.raises(ValueError):
         SystemLayout((2, 0))
-    with pytest.raises(ValueError):
-        SystemLayout((2, 2), labels=("x", "x"))
 
 
 def test_pure_state_normalization_enforced():
