@@ -248,6 +248,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("--p must lie in [0, 1]")
     if args.samples is not None and args.samples < 1:
         raise UsageError("--samples must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     results = verify.run_suite(
         args.suite,
         seed=args.seed,

@@ -135,11 +135,17 @@ class _EnsembleObjective:
     spectrum_entropy call on the spectra it returns. The private value
     needs only the two averages: a pure member psi_x leaves N(psi_x) and
     N^c(psi_x) with the same nonzero spectrum, so the members' entropies
-    cancel and I(X;B) - I(X;E) = H(sum_x p_x N(psi_x)) -
-    H(sum_x p_x N^c(psi_x)), the coherent information of the average
-    input. Each row's value is bit for bit the value of that row evaluated
-    alone, and, while the output and environment dimensions stay below 8
-    (6 and 6 for verify's lemma1 switch), the same sums of 1-D entropies.
+    cancel and I(X;B) - I(X;E) = H(N(rho)) - H(N^c(rho)), the coherent
+    information of the average input rho = sum_x p_x |psi_x><psi_x|. Both
+    outputs are linear in rho, so one einsum of each row's rho against
+    `superop`, the (din^2, dout^2 + nk^2) matrix of rho -> (N(rho),
+    N^c(rho)) built once from the Kraus operators and kept to its nonzero
+    rows and columns, gives them; when dout == nk one eigvalsh call takes
+    both spectra. Each row's value is bit for bit the value of that row
+    evaluated alone (einsum, unlike a BLAS product, sums every row in the
+    same order in any batch), and, while the output and environment
+    dimensions stay below 8 (6 and 6 for verify's lemma1 switch), the same
+    sums of 1-D entropies.
     """
 
     def __init__(self, ch: QuantumChannel, want_private: bool):
@@ -148,6 +154,19 @@ class _EnsembleObjective:
         self.din = ch.in_dim
         self.m = ch.in_dim
         self.want_private = want_private
+        if want_private:
+            k = self.kraus
+            # superop[(c, d), (a, b)] = <a|N(|c><d|)|b>, then <k|N^c(|c><d|)|l>
+            bob = np.einsum("kac,kbd->cdab", k, k.conj()).reshape(self.din**2, -1)
+            eve = np.einsum("kac,lad->cdkl", k, k.conj()).reshape(self.din**2, -1)
+            superop = np.concatenate([bob, eve], axis=1)
+            # Only its nonzero rows and columns enter the product (24 of its
+            # 1,152 entries are nonzero for lemma1's switch). A dropped term
+            # is an exact zero, so each output entry keeps its value.
+            nz = superop != 0
+            self.rows, self.cols = np.flatnonzero(nz.any(1)), np.flatnonzero(nz.any(0))
+            self.superop = superop[np.ix_(self.rows, self.cols)]
+            self.out_width = superop.shape[1]
 
     def n_params(self) -> int:
         return self.m * (2 * self.din + 1)
@@ -172,19 +191,28 @@ class _EnsembleObjective:
         row does not decode."""
         vecs, probs, ok = self.decode(theta)
         out = np.full(len(theta), -1e3)
-        vecs, probs = vecs[ok], probs[ok]
-        # images[y, x] = stack of K_k |psi_x> of row y, from which both Bob's
-        # output (sum over k of outer products) and Eve's output (Gram in k)
-        # follow
+        if not ok.all():
+            vecs, probs = vecs[ok], probs[ok]
+        if self.want_private:
+            rho = np.einsum("yx,yxc,yxd->ycd", probs, vecs, vecs.conj()).reshape(len(probs), -1)
+            outs = np.zeros((len(rho), self.out_width), dtype=complex)
+            outs[:, self.cols] = np.einsum("yi,iz->yz", rho[:, self.rows], self.superop)
+            nk, dout, _ = self.kraus.shape
+            if nk == dout:  # one eigvalsh call takes both sides' spectra
+                w = np.linalg.eigvalsh(outs.reshape(-1, 2, nk, nk))
+                h_b, h_e = qcore.spectrum_entropy(w).T
+            else:
+                h_b, h_e = (
+                    qcore.spectrum_entropy(np.linalg.eigvalsh(a.reshape(-1, n, n)))
+                    for a, n in ((outs[:, : dout**2], dout), (outs[:, dout**2 :], nk))
+                )
+            out[ok] = h_b - h_e
+            return out
+        # images[y, x] = stack of K_k |psi_x> of row y; Bob's output is the
+        # sum over k of their outer products
         images = np.einsum("kab,yxb->yxka", self.kraus, vecs)
         bob = np.einsum("yxka,yxkb->yxab", images, images.conj())
         avg_b = np.einsum("yx,yxab->yab", probs, bob)
-        if self.want_private:
-            eve = np.einsum("yxka,yxla->yxkl", images, images.conj())
-            avg_e = np.einsum("yx,yxkl->ykl", probs, eve)
-            h_b, h_e = (qcore.spectrum_entropy(np.linalg.eigvalsh(m)) for m in (avg_b, avg_e))
-            out[ok] = h_b - h_e
-            return out
         h = qcore.spectrum_entropy(np.linalg.eigvalsh(np.concatenate([avg_b[:, None], bob], 1)))
         out[ok] = h[:, 0] - np.sum(probs * h[:, 1:], axis=1)
         return out
@@ -266,8 +294,8 @@ def minimize(fun, x0s: np.ndarray, maxiter: int) -> SimplexResult:
     nfev = B * (N + 1)
 
     def order(s, f):
-        ind = np.argsort(f, axis=1)
-        return np.take_along_axis(s, ind[:, :, None], axis=1), np.take_along_axis(f, ind, axis=1)
+        rows, ind = np.arange(len(f))[:, None], np.argsort(f, axis=1)
+        return s[rows, ind], f[rows, ind]
 
     sim, fsim = order(*order(sim, fsim))
 
@@ -297,10 +325,15 @@ def minimize(fun, x0s: np.ndarray, maxiter: int) -> SimplexResult:
         outside = ~expand & ~accept & (fxr < fsim[:, -1])
         inside = ~expand & ~accept & ~outside
         second = ~accept
-        pts = np.empty_like(xr)
-        pts[expand] = (1 + rho * chi) * xbar[expand] - rho * chi * worst[expand]
-        pts[outside] = (1 + psi * rho) * xbar[outside] - psi * rho * worst[outside]
-        pts[inside] = (1 - psi) * xbar[inside] + psi * worst[inside]
+        pts = np.where(
+            expand[:, None],
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            np.where(
+                outside[:, None],
+                (1 + psi * rho) * xbar - psi * rho * worst,
+                (1 - psi) * xbar + psi * worst,
+            ),
+        )
         f2 = np.full(len(live), np.inf)
         if second.any():
             f2[second] = fun(pts[second])

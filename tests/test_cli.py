@@ -438,6 +438,15 @@ def test_verify_unknown_suite(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("suite", ["all", "lemma1", "lower-bound"])
+def test_verify_negative_seed_exits_64(capsys, suite):
+    # a SeedSequence takes only non-negative integers
+    code, out, err = run(capsys, "verify", suite, "--seed", "-1")
+    assert code == 64
+    assert out == ""
+    assert "--seed must be non-negative" in err
+
+
 def test_verify_reports_failures_with_exit_2(capsys, monkeypatch):
     from qcap import verify as vf
 

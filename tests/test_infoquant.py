@@ -11,6 +11,7 @@ from qcap import qcore, verify
 from qcap.channels import (
     CqEnsemble,
     erasure_channel,
+    identity_channel,
     main_channel,
     rocket_channel,
     switch_channel,
@@ -130,7 +131,8 @@ def _reference_objective(obj, theta):
     """The ensemble objective of one parameter vector, decoded alone, with
     one eigvalsh and one 1-D spectrum_entropy per matrix: the form each row
     of the batched objective must reproduce bit for bit. The private value
-    is H(B avg) - H(E avg), the members' entropies cancelling."""
+    is H(B avg) - H(E avg), the members' entropies cancelling, with both
+    averages read off the average input through the whole superoperator."""
     m, d = obj.m, obj.din
     z = theta[: 2 * m * d].reshape(m, 2, d)
     vecs = z[:, 0, :] + 1j * z[:, 1, :]
@@ -140,17 +142,24 @@ def _reference_objective(obj, theta):
     if np.min(norms) < 1e-8 or tot < 1e-12:
         return -1e3
     vecs, probs = vecs / norms[:, None], w / tot
-    images = np.einsum("kab,xb->xka", obj.kraus, vecs)
 
     def entropy(m):
         return qcore.spectrum_entropy(np.linalg.eigvalsh(m))
 
+    k = obj.kraus
+    nk, dout, _ = k.shape
+    if obj.want_private:
+        bob = np.einsum("kac,kbd->cdab", k, k.conj()).reshape(d * d, -1)
+        eve = np.einsum("kac,lad->cdkl", k, k.conj()).reshape(d * d, -1)
+        rho = np.einsum("x,xc,xd->cd", probs, vecs, vecs.conj())
+        outs = np.einsum("i,iz->z", rho.reshape(-1), np.concatenate([bob, eve], axis=1))
+        return entropy(outs[: dout**2].reshape(dout, dout)) - entropy(
+            outs[dout**2 :].reshape(nk, nk)
+        )
+    images = np.einsum("kab,xb->xka", k, vecs)
     bob = np.einsum("xka,xkb->xab", images, images.conj())
     avg_b = np.einsum("x,xab->ab", probs, bob)
-    if not obj.want_private:
-        return entropy(avg_b) - float(np.sum(probs * [entropy(o) for o in bob]))
-    eve = np.einsum("xka,xla->xkl", images, images.conj())
-    return entropy(avg_b) - entropy(np.einsum("x,xkl->kl", probs, eve))
+    return entropy(avg_b) - float(np.sum(probs * [entropy(o) for o in bob]))
 
 
 def _random_thetas(obj):
@@ -166,12 +175,17 @@ LEMMA1_SWITCH = switch_channel(
 )
 
 
+# identity_channel(3) has one Kraus operator, so its environment output is
+# 1x1 while Bob's is 3x3: the private objective takes their spectra apart
+OBJECTIVE_CHANNELS = {
+    "lemma1-switch": LEMMA1_SWITCH,
+    "erasure-1/4": erasure_channel(Fraction(1, 4), 2),
+    "identity-3": identity_channel(3),
+}
+
+
 @pytest.mark.parametrize("want_private", [True, False])
-@pytest.mark.parametrize(
-    "ch",
-    [LEMMA1_SWITCH, erasure_channel(Fraction(1, 4), 2)],
-    ids=["lemma1-switch", "erasure-1/4"],
-)
+@pytest.mark.parametrize("ch", list(OBJECTIVE_CHANNELS.values()), ids=list(OBJECTIVE_CHANNELS))
 def test_ensemble_objective_is_bit_identical_to_per_member_loop(ch, want_private):
     obj = iq._EnsembleObjective(ch, want_private)
     thetas = iq._structured_starts(ch, obj) + _random_thetas(obj)
@@ -210,6 +224,21 @@ def test_private_objective_equals_the_per_member_holevo_difference(ch):
     bob = holevo(np.einsum("yxka,yxkb->yxab", images, images.conj()))
     eve = holevo(np.einsum("yxka,yxla->yxkl", images, images.conj()))
     np.testing.assert_allclose(obj.value(thetas), bob - eve, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ch", list(OBJECTIVE_CHANNELS.values()), ids=list(OBJECTIVE_CHANNELS))
+def test_private_objective_equals_coherent_information_of_the_average_input(ch):
+    # the superoperator lane against the block-form lane on the same input
+    obj = iq._EnsembleObjective(ch, want_private=True)
+    thetas = np.stack(_random_thetas(obj)[:100])
+    vecs, probs, ok = obj.decode(thetas)
+    assert ok.all()
+    lane = []
+    for p_row, v_row in zip(probs, vecs):
+        rho = sum(p * np.outer(v, v.conj()) for p, v in zip(p_row, v_row))
+        rho = DensityOperator(ch.in_layout, rho, check_psd=False)
+        lane.append(iq.coherent_information(ch, rho).value)
+    np.testing.assert_allclose(obj.value(thetas), lane, rtol=0, atol=1e-12)
 
 
 def _assert_matches_scipy(res, fun, x0s, iterations):
@@ -418,8 +447,8 @@ def test_haar_measured_entropy_seeded():
 
 
 # (mean, se) as float.hex, recorded before the Monte Carlo entropies moved
-# into qcore.spectrum_entropy
-HAAR_BITS = {
+# into qcore.spectrum_entropy, while haar_unitaries still took LAPACK's QR
+HAAR_BITS_QR = {
     ("pure", 64): [
         ("0x1.68eb0613bc60cp-1", "0x1.3437e715fd8cfp-5"),
         ("0x1.806d653075fe6p-1", "0x1.ee648318ff094p-6"),
@@ -446,6 +475,34 @@ HAAR_BITS = {
     ],
 }
 
+# the same, recorded from haar_unitaries' Gram-Schmidt, which moves last bits
+HAAR_BITS = {
+    ("pure", 64): [
+        ("0x1.68eb0613bc60bp-1", "0x1.3437e715fd8d1p-5"),
+        ("0x1.806d653075fe7p-1", "0x1.ee648318ff094p-6"),
+        ("0x1.87217f787a65ep-1", "0x1.cf310affd1b2cp-6"),
+        ("0x1.6bd4c378e8233p-1", "0x1.3b3b9ce623d89p-5"),
+    ],
+    ("pure", 200000): [
+        ("0x1.717ed8a9d2c2cp-1", "0x1.3cb686db906c6p-11"),
+        ("0x1.70e9149f97137p-1", "0x1.3d6eb3458366ep-11"),
+        ("0x1.705b55db790bep-1", "0x1.3d1e0b9c767aep-11"),
+        ("0x1.70d5ce587bad2p-1", "0x1.3d449ceb9dd43p-11"),
+    ],
+    ("mixed3", 64): [
+        ("0x1.8fd313ba3cab6p+0", "0x1.237ef409f0c35p-9"),
+        ("0x1.8f92a93c63713p+0", "0x1.2643164031235p-9"),
+        ("0x1.8f4b9001dd0f6p+0", "0x1.37404ebd8541bp-9"),
+        ("0x1.8e30622767134p+0", "0x1.2ce91c1f02394p-9"),
+    ],
+    ("mixed3", 200000): [
+        ("0x1.8f535b34e7d73p+0", "0x1.68cabff23502dp-15"),
+        ("0x1.8f4d706d2a5fbp+0", "0x1.691ebc10b9c51p-15"),
+        ("0x1.8f4eacb626a8fp+0", "0x1.69073a281d9dep-15"),
+        ("0x1.8f5130ff53f30p+0", "0x1.68920050e5ae4p-15"),
+    ],
+}
+
 
 @pytest.mark.parametrize("state,samples", list(HAAR_BITS), ids=lambda v: str(v))
 def test_haar_measured_entropy_bits_are_pinned(state, samples):
@@ -455,6 +512,8 @@ def test_haar_measured_entropy_bits_are_pinned(state, samples):
     }[state]
     got = [iq.haar_measured_entropy(rho, samples, seed) for seed in range(4)]
     assert [(m.hex(), se.hex()) for m, se in got] == HAAR_BITS[state, samples]
+    qr = [float.fromhex(h) for pair in HAAR_BITS_QR[state, samples] for h in pair]
+    assert [abs(g - q) <= 1e-12 * abs(q) for g, q in zip(np.ravel(got), qr)] == [True] * 8
 
 
 def test_measured_entropy_subentropy_constant():

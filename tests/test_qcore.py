@@ -188,6 +188,27 @@ def test_haar_unitaries_are_unitary_and_seeded():
     np.testing.assert_array_equal(u, again)
 
 
+def _haar_by_qr(d, count, rng):
+    """The same draws as haar_unitaries through LAPACK's QR, with R's
+    diagonal phases moved into Q."""
+    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    q, r = np.linalg.qr(g)
+    diag = np.einsum("sii->si", r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+@pytest.mark.parametrize("d,count", [(2, 200_000), (3, 20_000), (5, 20_000)])
+def test_haar_unitaries_match_qr_with_phase_fix(d, count):
+    # the Q factor with a positive real diagonal in R is unique, so
+    # Gram-Schmidt and Householder QR differ only by rounding, which grows
+    # with a draw's condition number in both; reorthogonalisation keeps
+    # Gram-Schmidt's Q unitary to a few ulp whatever the draw
+    u = qcore.haar_unitaries(d, count, np.random.default_rng(0))
+    ref = _haar_by_qr(d, count, np.random.default_rng(0))
+    assert np.max(np.abs(u - ref)) <= 1e-12
+    assert np.max(np.abs(np.einsum("sji,sjk->sik", u.conj(), u) - np.eye(d))) <= 1e-14
+
+
 def test_random_density_rank_control():
     rng = np.random.default_rng(9)
     rho = qcore.random_density((4,), rng, rank=2)
