@@ -1,7 +1,13 @@
 """Single-letter information quantities over finite-dimensional channels:
 coherent information, Holevo quantities toward Bob and Eve, the private
 value, subentropy, Haar-averaged measurement entropy, and brute-force
-small-instance optimizers.
+single-use searches.
+
+The searches maximise the private value (the coherent information of the
+average input) or the Holevo value toward Bob over pure-state ensembles,
+by an in-house L-BFGS ascent on the closed-form gradient, with every start
+advancing in one batch. The private search runs once per switch component,
+which is exact (see brute_force_p1).
 
 All quantities are in bits. Every random search is driven by an explicit
 64-bit seed and is reproducible bit for bit.
@@ -121,140 +127,122 @@ def private_value(ch: QuantumChannel, ens: CqEnsemble) -> InfoResult:
 # ---------------------------------------------------------------------------
 # brute-force ensemble searches
 
+# Eigenvalues are floored here inside a logarithm. Only null directions of
+# an output fall below it, and the images K a vanish on those.
+_EIG_FLOOR = 1e-20
+_LBFGS_MEMORY = 8
+_GTOL = 1e-10  # a start stops when no gradient entry exceeds this
+_FTOL = 1e-13  # ... or when a step gains at most this, relative
+_MAX_HALVINGS = 40
+
+
+def _log2m(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, log2 m) of a stack of Hermitian matrices."""
+    w, u = np.linalg.eigh(m)
+    return w, (u * np.log2(np.maximum(w, _EIG_FLOOR))[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
 
 class _EnsembleObjective:
-    """Fast objective over pure-state ensembles, a batch of parameter
-    vectors at a time.
+    """An objective over pure-state ensembles and its gradient, a batch of
+    parameter vectors at a time.
 
-    Parameter vector: m*(2*din) reals for the m = din state vectors
-    followed by m reals whose squares give the probability weights.
+    A parameter vector holds the real, then the imaginary parts of a
+    din x din matrix A. Its columns a_x give the ensemble {p_x = |a_x|^2 / t,
+    psi_x = a_x / |a_x|}, t = tr(A A^dag), of average input rho = A A^dag / t.
 
-    `value` maps a (B, n_params) batch to (B,) values in one einsum chain.
-    The Holevo value toward Bob takes one eigvalsh call on the stacked
-    [average output; the m member outputs] of every row and one
-    spectrum_entropy call on the spectra it returns. The private value
-    needs only the two averages: a pure member psi_x leaves N(psi_x) and
-    N^c(psi_x) with the same nonzero spectrum, so the members' entropies
-    cancel and I(X;B) - I(X;E) = H(N(rho)) - H(N^c(rho)), the coherent
-    information of the average input rho = sum_x p_x |psi_x><psi_x|. Both
-    outputs are linear in rho, so one einsum of each row's rho against
-    `superop`, the (din^2, dout^2 + nk^2) matrix of rho -> (N(rho),
-    N^c(rho)) built once from the Kraus operators and kept to its nonzero
-    rows and columns, gives them; when dout == nk one eigvalsh call takes
-    both spectra. Each row's value is bit for bit the value of that row
-    evaluated alone (einsum, unlike a BLAS product, sums every row in the
-    same order in any batch), and, while the output and environment
-    dimensions stay below 8 (6 and 6 for verify's lemma1 switch), the same
-    sums of 1-D entropies.
+    The private value over pure ensembles is I_c(rho) = H(N(rho)) -
+    H(N^c(rho)): a pure psi_x leaves N(psi_x) and N^c(psi_x) with the same
+    nonzero spectrum, so the members' entropies cancel from I(X;B) - I(X;E).
+    Its gradient in rho is G = N^c^dag(log2 N^c(rho)) - N^dag(log2 N(rho)),
+    the log2(e) terms of dH cancelling because both maps preserve trace;
+    in the parameters it is 2 (G - tr(G rho)) A / t, and tr(G rho) = I_c.
+    The Holevo value toward Bob is chi = H(N(rho)) - sum_x p_x H(N(psi_x)),
+    of gradient 2 [N^dag(log2 N(psi_x)) - N^dag(log2 N(rho)) - chi] a_x / t
+    in column a_x.
+
+    Every output comes block by block from the images K A, the Kraus blocks
+    of one shape stacked, so ch.kraus is never read. Each row of a batch
+    goes through the same operations as in a batch of one, so a start's
+    path does not depend on which other starts are still running.
     """
 
     def __init__(self, ch: QuantumChannel, want_private: bool):
-        self.kraus = ch.kraus
-        self.in_layout = ch.in_layout
         self.din = ch.in_dim
-        self.m = ch.in_dim
         self.want_private = want_private
-        if want_private:
-            k = self.kraus
-            # superop[(c, d), (a, b)] = <a|N(|c><d|)|b>, then <k|N^c(|c><d|)|l>
-            bob = np.einsum("kac,kbd->cdab", k, k.conj()).reshape(self.din**2, -1)
-            eve = np.einsum("kac,lad->cdkl", k, k.conj()).reshape(self.din**2, -1)
-            superop = np.concatenate([bob, eve], axis=1)
-            # Only its nonzero rows and columns enter the product (24 of its
-            # 1,152 entries are nonzero for lemma1's switch). A dropped term
-            # is an exact zero, so each output entry keeps its value.
-            nz = superop != 0
-            self.rows, self.cols = np.flatnonzero(nz.any(1)), np.flatnonzero(nz.any(0))
-            self.superop = superop[np.ix_(self.rows, self.cols)]
-            self.out_width = superop.shape[1]
+        shapes: dict[tuple, list] = {}
+        for _, _, k in ch.blocks:
+            shapes.setdefault(k.shape, []).append(k)
+        self.stacks = [np.array(ks) for _, ks in sorted(shapes.items())]  # (G, ne, nr, din)
+        self.adj = [k.reshape(-1, self.din).conj().T for k in self.stacks]
 
     def n_params(self) -> int:
-        return self.m * (2 * self.din + 1)
+        return 2 * self.din**2
 
-    def decode(self, theta: np.ndarray):
-        """(unit vectors (B, m, din), probabilities (B, m), ok (B,)) of a
-        (B, n_params) batch. A row with a vector of norm below 1e-8 or
-        weights summing below 1e-12 has ok False; it is divided by ones,
-        so its entries are finite and no warning is raised."""
-        m, d = self.m, self.din
-        z = theta[:, : 2 * m * d].reshape(-1, m, 2, d)
-        vecs = z[:, :, 0, :] + 1j * z[:, :, 1, :]
-        norms = np.linalg.norm(vecs, axis=2)
-        w = theta[:, 2 * m * d :] ** 2
-        tot = np.sum(w, axis=1)
-        ok = ~(np.min(norms, axis=1) < 1e-8) & ~(tot < 1e-12)
-        vecs = vecs / np.where(ok[:, None], norms, 1.0)[:, :, None]
-        return vecs, w / np.where(ok, tot, 1.0)[:, None], ok
+    def matrices(self, theta: np.ndarray) -> np.ndarray:
+        """The (B, din, din) matrices A of a (B, n_params) batch."""
+        z = theta.reshape(len(theta), 2, self.din, self.din)
+        return z[:, 0] + 1j * z[:, 1]
 
-    def value(self, theta: np.ndarray) -> np.ndarray:
-        """Objective of each row of a (B, n_params) batch; -1e3 where the
-        row does not decode."""
-        vecs, probs, ok = self.decode(theta)
-        out = np.full(len(theta), -1e3)
-        if not ok.all():
-            vecs, probs = vecs[ok], probs[ok]
-        if self.want_private:
-            rho = np.einsum("yx,yxc,yxd->ycd", probs, vecs, vecs.conj()).reshape(len(probs), -1)
-            outs = np.zeros((len(rho), self.out_width), dtype=complex)
-            outs[:, self.cols] = np.einsum("yi,iz->yz", rho[:, self.rows], self.superop)
-            nk, dout, _ = self.kraus.shape
-            if nk == dout:  # one eigvalsh call takes both sides' spectra
-                w = np.linalg.eigvalsh(outs.reshape(-1, 2, nk, nk))
-                h_b, h_e = qcore.spectrum_entropy(w).T
-            else:
-                h_b, h_e = (
-                    qcore.spectrum_entropy(np.linalg.eigvalsh(a.reshape(-1, n, n)))
-                    for a, n in ((outs[:, : dout**2], dout), (outs[:, dout**2 :], nk))
-                )
-            out[ok] = h_b - h_e
-            return out
-        # images[y, x] = stack of K_k |psi_x> of row y; Bob's output is the
-        # sum over k of their outer products
-        images = np.einsum("kab,yxb->yxka", self.kraus, vecs)
-        bob = np.einsum("yxka,yxkb->yxab", images, images.conj())
-        avg_b = np.einsum("yx,yxab->yab", probs, bob)
-        h = qcore.spectrum_entropy(np.linalg.eigvalsh(np.concatenate([avg_b[:, None], bob], 1)))
-        out[ok] = h[:, 0] - np.sum(probs * h[:, 1:], axis=1)
-        return out
-
-    def to_ensemble(self, theta: np.ndarray) -> CqEnsemble:
-        vecs, probs, _ = self.decode(theta[None])
-        lay = self.in_layout
-        items = []
-        for x in range(self.m):
-            if probs[0, x] < 1e-12:
-                continue
-            items.append((probs[0, x], PureState(lay, vecs[0, x]).to_density()))
-        total = sum(p for p, _ in items)
-        return CqEnsemble(tuple((p / total, rho) for p, rho in items))
+    def value(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objective of each row of a (B, n_params) batch, -1e3 where A = 0,
+        and its (B, n_params) gradient, zero where A = 0."""
+        n, d = len(theta), self.din
+        t = np.sum(theta * theta, axis=1)
+        ok = t > 0.0
+        scale = np.sqrt(np.where(ok, t, 1.0))
+        a = self.matrices(theta) / scale[:, None, None]  # tr(A A^dag) = 1
+        # weights of the entropies subtracted: Eve's output once, or every
+        # member's output at its probability
+        p = np.ones((n, 1)) if self.want_private else np.sum((a.conj() * a).real, axis=1)
+        inv = (1.0 / np.where(p > 0.0, p, 1.0))[:, :, None, None, None]
+        avg_w, sub_w, ga = [], [], 0.0
+        for k, adj in zip(self.stacks, self.adj):
+            w = np.matmul(k.reshape(-1, d), a).reshape((n,) + k.shape)  # (B, G, ne, nr, x)
+            _, g, ne, nr, _ = w.shape
+            wb = w.transpose(0, 1, 3, 2, 4).reshape(n, g, nr, ne * d)
+            ws = w.reshape(n, 1, g, ne, nr * d) if self.want_private else w.transpose(0, 4, 1, 3, 2)
+            lam_b, log_b = _log2m(wb @ wb.conj().swapaxes(-1, -2))
+            lam_s, log_s = _log2m((ws @ ws.conj().swapaxes(-1, -2)) * inv)
+            avg_w.append(lam_b.reshape(n, -1))
+            sub_w.append(lam_s.reshape(n, p.shape[1], -1))
+            # the pull-backs K^dag (log2 out) K A, block by block
+            v = log_s @ ws
+            v = v.reshape(n, g, ne, nr, d) if self.want_private else v.transpose(0, 2, 4, 3, 1)
+            v = v - (log_b @ wb).reshape(n, g, nr, ne, d).swapaxes(2, 3)
+            ga = ga + np.matmul(adj, v.reshape(n, -1, d))
+        val = qcore.spectrum_entropy(np.concatenate(avg_w, axis=1)) - np.sum(
+            p * qcore.spectrum_entropy(np.concatenate(sub_w, axis=2)), axis=1
+        )
+        ga = (ga - val[:, None, None] * a) * (2 * ok / scale)[:, None, None]
+        return np.where(ok, val, -1e3), np.concatenate([ga.real, ga.imag], axis=1).reshape(n, -1)
 
 
-def _structured_starts(ch: QuantumChannel, obj: _EnsembleObjective) -> list[np.ndarray]:
-    """Warm starts worth polishing before the random restarts: the full
-    computational basis, and (for a switch) the computational basis pinned
-    to each component in turn."""
-    m, d = obj.m, obj.din
+def _components(ch: QuantumChannel) -> list[tuple[np.ndarray, QuantumChannel]]:
+    """The channel's blocks grouped by the input columns they read, as
+    (columns, the channel of the group's blocks on those columns), groups
+    in the order of their first column. A switch gives one group per flag
+    value; a channel whose blocks all share columns is one group, itself."""
+    groups: list[tuple[set, list]] = []  # (columns, block indices)
+    for i, (_, _, k) in enumerate(ch.blocks):
+        cols = set(np.flatnonzero(np.any(k != 0, axis=(0, 1))).tolist())
+        meets = [grp for grp in groups if grp[0] & cols]
+        groups = [grp for grp in groups if not grp[0] & cols]
+        groups.append((cols.union(*(c for c, _ in meets)), sorted([i, *(j for _, b in meets for j in b)])))
+    groups = [grp for grp in groups if grp[0]]  # an all-zero block adds to neither output
+    if len(groups) == 1:
+        return [(np.arange(ch.in_dim), ch)]
+    out = []
+    for cols, members in sorted(groups, key=lambda grp: min(grp[0])):
+        cols, sub = np.array(sorted(cols)), [ch.blocks[i] for i in members]
+        rows, env = (np.cumsum([0] + [len(b[axis]) for b in sub]) for axis in (0, 1))
+        blocks = tuple((range(rows[j], rows[j + 1]), range(env[j], env[j + 1]), b[2][:, :, cols])
+                       for j, b in enumerate(sub))
+        out.append((cols, QuantumChannel((len(cols),), (int(rows[-1]),), (int(env[-1]),), blocks)))
+    return out
 
-    def encode(states: list[int], weights: list[float]) -> np.ndarray:
-        theta = np.zeros(obj.n_params())
-        for x in range(m):
-            theta[x * 2 * d + states[x]] = 1.0
-            theta[2 * m * d + x] = weights[x]
-        return theta
 
-    starts = [encode([x % d for x in range(m)], [1.0] * m)]
-    if ch.spec is not None and ch.spec["kind"] == "switch":
-        flag_dim = len(ch.spec["components"])
-        data_dim = d // flag_dim  # every component's input dimension
-        for c in range(flag_dim):
-            idx = [c * data_dim + (x % data_dim) for x in range(m)]
-            w = [1.0 if x < min(data_dim, m) else 1e-3 for x in range(m)]
-            starts.append(encode(idx, w))
-    return starts
-
-
-class SimplexResult(NamedTuple):
-    """Per-start minimizers x (B, N) and minima fun (B,) of one lockstep
+class MinimizeResult(NamedTuple):
+    """Per-start minimizers x (B, N) and minima fun (B,) of one batched
     search, and the objective evaluations nfev summed over the starts."""
 
     x: np.ndarray
@@ -262,141 +250,147 @@ class SimplexResult(NamedTuple):
     nfev: int
 
 
-def minimize(fun, x0s: np.ndarray, maxiter: int) -> SimplexResult:
-    """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 2012) from
-    each row of x0s, all starts advancing in lockstep.
+def minimize(fun, x0s: np.ndarray, maxiter: int) -> MinimizeResult:
+    """L-BFGS with Armijo backtracking from each row of x0s, all starts
+    advancing in one batch.
 
-    `fun` maps a (k, N) batch of points to (k,) values. Each start follows
-    scipy.optimize.minimize(method="Nelder-Mead", options={"maxiter":
-    maxiter, "xatol": 1e-7, "fatol": 1e-10, "adaptive": True}) step for
-    step, in the same arithmetic and order (its initial simplex, the two
-    sorts after the first evaluation, the convergence test before each
-    iteration), so its x, fun and nfev are scipy's bit for bit as long as
-    `fun` values a row the same in any batch.
-
-    An iteration makes at most three calls of `fun`: the reflections of
-    every live start; the expansion, outside or inside contraction point
-    that each start's reflected value picks; the shrunk vertices of the
-    starts that shrink. A start leaves the batch when it converges; every
-    start stops after maxiter - 1 iterations. _multistart calls this
-    through the module attribute, which is where a tracer can wrap it.
+    `fun` maps a (k, N) batch to its (k,) values and (k, N) gradients.
+    Each iteration takes every live start's two-loop direction (-g / |g|
+    without a curvature pair, or where it does not descend) and tries the
+    step 1, halved until the value falls by 1e-4 of the decrease the slope
+    predicts, one call of `fun` per trial on the starts still trying. A
+    start stops when no gradient entry exceeds _GTOL, when a step gains at
+    most _FTOL (1 + |value|), when _MAX_HALVINGS halvings find no descent,
+    or after maxiter iterations. A start ends where it would end alone.
+    _search calls this through the module attribute, where a tracer can
+    wrap it.
     """
-    x0s = np.array(x0s, dtype=float)
-    B, N = x0s.shape
-    rho, chi, psi, sigma = 1, 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
-    nonzdelt, zdelt = 0.05, 0.00025
-    xatol, fatol = 1e-7, 1e-10
+    x = np.array(x0s, dtype=float)
+    f, g = fun(x)
+    nfev = len(x)
+    # curvature pairs, oldest first; r = 1 / (s . y), 0 in an empty slot,
+    # which the two loops then leave alone
+    s, y = np.zeros((2, len(x), _LBFGS_MEMORY, x.shape[1]))
+    r = np.zeros((len(x), _LBFGS_MEMORY))
+    live = np.flatnonzero(np.max(np.abs(g), axis=1) > _GTOL)
+    for _ in range(maxiter):
+        if not live.size:
+            break
+        gl, sl, yl, rl = g[live], s[live], y[live], r[live]
+        q, alpha = gl.copy(), np.zeros(rl.shape)
+        for i in reversed(range(_LBFGS_MEMORY)):
+            alpha[:, i] = rl[:, i] * np.sum(sl[:, i] * q, axis=1)
+            q -= alpha[:, i, None] * yl[:, i]
+        yy = np.where(rl[:, -1] > 0.0, rl[:, -1] * np.sum(yl[:, -1] ** 2, axis=1), 0.0)
+        q /= np.where(yy > 0.0, yy, np.sqrt(np.sum(gl * gl, axis=1)))[:, None]
+        for i in range(_LBFGS_MEMORY):
+            q += (alpha[:, i] - rl[:, i] * np.sum(yl[:, i] * q, axis=1))[:, None] * sl[:, i]
+        d, slope = -q, -np.sum(q * gl, axis=1)
+        up = ~(slope < 0.0)
+        d[up] = -gl[up] / np.sqrt(np.sum(gl[up] ** 2, axis=1))[:, None]
+        slope[up] = np.sum(d[up] * gl[up], axis=1)
 
-    sim = np.repeat(x0s[:, None, :], N + 1, axis=1)
-    diag = np.arange(N)
-    sim[:, diag + 1, diag] = np.where(x0s != 0, (1 + nonzdelt) * x0s, zdelt)
-    fsim = fun(sim.reshape(-1, N)).reshape(B, N + 1)
-    nfev = B * (N + 1)
+        step = np.ones(len(live))
+        x_new, f_new, g_new = x[live], f[live], gl.copy()
+        moved = np.zeros(len(live), dtype=bool)
+        trying = np.arange(len(live))
+        for _ in range(_MAX_HALVINGS):
+            xt = x[live[trying]] + step[trying, None] * d[trying]
+            ft, gt = fun(xt)
+            nfev += len(trying)
+            ok = ft <= f[live[trying]] + 1e-4 * step[trying] * slope[trying]
+            took = trying[ok]
+            x_new[took], f_new[took], g_new[took], moved[took] = xt[ok], ft[ok], gt[ok], True
+            trying = trying[~ok]
+            if not trying.size:
+                break
+            step[trying] *= 0.5
 
-    def order(s, f):
-        rows, ind = np.arange(len(f))[:, None], np.argsort(f, axis=1)
-        return s[rows, ind], f[rows, ind]
-
-    sim, fsim = order(*order(sim, fsim))
-
-    x, fmin = np.empty((B, N)), np.empty(B)
-    live = np.arange(B)
-    iterations = 1
-    while True:
-        if iterations < maxiter:
-            stop = (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol) & (
-                np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol
-            )
-        else:
-            stop = np.ones(len(live), dtype=bool)
-        if stop.any():
-            x[live[stop]], fmin[live[stop]] = sim[stop, 0], np.min(fsim[stop], axis=1)
-            live, sim, fsim = live[~stop], sim[~stop], fsim[~stop]
-            if not len(live):
-                return SimplexResult(x, fmin, nfev)
-
-        # scipy's expressions term for term, so every product rounds alike
-        xbar = np.add.reduce(sim[:, :-1], 1) / N
-        worst = sim[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = fun(xr)
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~accept & (fxr < fsim[:, -1])
-        inside = ~expand & ~accept & ~outside
-        second = ~accept
-        pts = np.where(
-            expand[:, None],
-            (1 + rho * chi) * xbar - rho * chi * worst,
-            np.where(
-                outside[:, None],
-                (1 + psi * rho) * xbar - psi * rho * worst,
-                (1 - psi) * xbar + psi * worst,
-            ),
-        )
-        f2 = np.full(len(live), np.inf)
-        if second.any():
-            f2[second] = fun(pts[second])
-        nfev += len(live) + int(np.count_nonzero(second))
-
-        took_2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
-        took_r = accept | (expand & ~took_2)
-        shrink = second & ~expand & ~took_2
-        sim[took_r, -1], fsim[took_r, -1] = xr[took_r], fxr[took_r]
-        sim[took_2, -1], fsim[took_2, -1] = pts[took_2], f2[took_2]
-        if shrink.any():
-            best = sim[shrink, :1]
-            shrunk = best + sigma * (sim[shrink, 1:] - best)
-            sim[shrink, 1:] = shrunk
-            fsim[shrink, 1:] = fun(shrunk.reshape(-1, N)).reshape(-1, N)
-            nfev += N * int(np.count_nonzero(shrink))
-        iterations += 1
-        sim, fsim = order(sim, fsim)
+        idx = live[moved]
+        ds, dg = x_new[moved] - x[idx], g_new[moved] - g[idx]
+        sy = np.sum(ds * dg, axis=1)
+        keep = sy > 1e-12 * np.sqrt(np.sum(ds * ds, axis=1) * np.sum(dg * dg, axis=1))
+        upd = idx[keep]
+        s[upd] = np.concatenate([s[upd, 1:], ds[keep, None]], axis=1)
+        y[upd] = np.concatenate([y[upd, 1:], dg[keep, None]], axis=1)
+        r[upd] = np.concatenate([r[upd, 1:], 1.0 / sy[keep, None]], axis=1)
+        gain = f[idx] - f_new[moved]
+        x[idx], f[idx], g[idx] = x_new[moved], f_new[moved], g_new[moved]
+        go = moved.copy()
+        go[moved] = (gain > _FTOL * (1.0 + np.abs(f[idx]))) & (np.max(np.abs(g[idx]), axis=1) > _GTOL)
+        live = live[go]
+    return MinimizeResult(x, f, nfev)
 
 
-def _starting_points(obj, warm_starts: list[np.ndarray], cfg: OptimizerConfig) -> np.ndarray:
-    """The (cfg.restarts, n_params) starts of a search: the warm starts
-    first, then standard-normal draws, restart r drawing from stream r of
-    SeedSequence(cfg.seed)."""
+def _ensemble(layout, a: np.ndarray) -> CqEnsemble:
+    """The pure ensemble of the columns of a, less those of weight < 1e-12."""
+    n_x = np.sum((a.conj() * a).real, axis=0)
+    keep = [x for x in range(a.shape[1]) if n_x[x] / n_x.sum() >= 1e-12]
+    total = sum(n_x[x] for x in keep)
+    states = [PureState(layout, a[:, x] / math.sqrt(n_x[x])).to_density() for x in keep]
+    return CqEnsemble(tuple((n_x[x] / total, rho) for x, rho in zip(keep, states)))
+
+
+def _starts(din: int, cfg: OptimizerConfig) -> np.ndarray:
+    """The starts of a search: A = I (the computational basis), then start r
+    a standard-normal draw from stream r of SeedSequence(cfg.seed)."""
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    return np.stack([
-        warm_starts[r] if r < len(warm_starts)
-        else np.random.default_rng(stream).standard_normal(obj.n_params())
-        for r, stream in enumerate(streams)
-    ])
-
-
-def _multistart(obj, warm_starts: list[np.ndarray], cfg: OptimizerConfig):
-    """Maximize obj.value by adaptive Nelder-Mead from the starting points,
-    run as one lockstep search. Returns (best value, its parameters); ties
-    keep the earlier restart."""
-    x0s = _starting_points(obj, warm_starts, cfg)
-    res = minimize(lambda t: -obj.value(t), x0s, cfg.iterations)
-    best = int(np.argmax(-res.fun))
-    return -float(res.fun[best]), res.x[best]
+    eye = np.concatenate([np.eye(din).ravel(), np.zeros(din * din)])
+    return np.stack([eye] + [np.random.default_rng(s).standard_normal(eye.size) for s in streams[1:]])
 
 
 def _search(ch: QuantumChannel, cfg: OptimizerConfig, want_private: bool):
-    if ch.in_dim > MAX_BRUTE_DIM:
-        raise ValueError(
-            f"brute-force search capped at input dim {MAX_BRUTE_DIM}, got {ch.in_dim}"
-        )
-    obj = _EnsembleObjective(ch, want_private)
-    best_val, best_theta = _multistart(obj, _structured_starts(ch, obj), cfg)
-    return best_val, obj.to_ensemble(best_theta)
+    """Best value and its ensemble over the search of each group (the
+    private search) or of the whole channel (the Holevo search); ties keep
+    the earlier group and start."""
+    parts = _components(ch) if want_private else [(np.arange(ch.in_dim), ch)]
+    dim = max(len(cols) for cols, _ in parts)
+    if dim > MAX_BRUTE_DIM:
+        raise ValueError(f"brute-force search capped at input dim {MAX_BRUTE_DIM}, got {dim}")
+    best = None
+    for cols, part in parts:
+        obj = _EnsembleObjective(part, want_private)
+
+        def negated(theta):
+            val, grad = obj.value(theta)
+            return -val, -grad
+
+        res = minimize(negated, _starts(obj.din, cfg), cfg.iterations)
+        i = int(np.argmin(res.fun))
+        if best is None or -res.fun[i] > best[0]:
+            best = (-float(res.fun[i]), cols, obj.matrices(res.x[i : i + 1])[0])
+    val, cols, a = best
+    lifted = np.zeros((ch.in_dim, len(cols)), dtype=complex)
+    lifted[cols] = a
+    return val, _ensemble(ch.in_layout, lifted)
 
 
 def brute_force_p1(ch: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()):
     """Best private value found over pure-state ensembles (lower bound).
 
-    Over pure-state ensembles the private value is the coherent
-    information of the average input (see _EnsembleObjective), so this
-    search maximises that coherent information and cannot show P1 > Q1."""
+    Over pure-state ensembles the private value is the coherent information
+    of the average input (see _EnsembleObjective), so this search maximises
+    I_c and cannot show P1 > Q1. It runs once per group of _components, and
+    that is exact. Let group g's blocks read the input columns C_g, which no
+    other group reads, and P_g project on C_g. Its Kraus operators vanish
+    off C_g, so its output and environment blocks depend on rho only through
+    P_g rho P_g = q_g rho_g; the groups own disjoint output rows and Kraus
+    indices, so N(rho) and N^c(rho) are the direct sums over g of
+    q_g N_g(rho_g) and q_g N_g^c(rho_g), N_g the group's channel on C_g
+    (trace preserving: its sum of K^dag K is P_g). A direct sum of
+    q_g sigma_g has entropy H(q) + sum_g q_g H(sigma_g), so H(q) cancels and
+    I_c(N, rho) = sum_g q_g I_c(N_g, rho_g). That mean is at most its largest
+    term, which q pinned to one group attains: the channel's best value is
+    the best group's, reached by its ensemble put back on its columns. For a
+    switch the groups are the flag values (the flag is measured, and Bob and
+    Eve both hold it). MAX_BRUTE_DIM caps the largest group's dimension."""
     return _search(ch, cfg, want_private=True)
 
 
 def brute_force_c1(ch: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig()):
-    """Best Holevo value toward Bob found over pure-state ensembles."""
+    """Best Holevo value toward Bob found over pure-state ensembles (lower
+    bound). The search does not split a switch: the flag value itself
+    carries information to Bob."""
     return _search(ch, cfg, want_private=False)
 
 

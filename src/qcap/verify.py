@@ -194,10 +194,14 @@ def run_lemma3(seed: int, samples: int | None) -> SuiteResult:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     violations = 0
     worst = -math.inf
+    erasures: dict[Fraction, qch.QuantumChannel] = {}  # p and q take 101 values
     for _ in range(count):
         q = Fraction(int(rng.integers(0, 101)), 100)
         p = Fraction(int(rng.integers(0, 101)), 100)
-        ch = qch.tensor_channels(qch.erasure_channel(q, 2), qch.erasure_channel(p, 2))
+        for x in (q, p):
+            if x not in erasures:
+                erasures[x] = qch.erasure_channel(x, 2)
+        ch = qch.tensor_channels(erasures[q], erasures[p])
         w = rng.random(3) + 1e-3
         w /= w.sum()
         items = tuple(

@@ -344,7 +344,7 @@ def test_no_command_loads_scipy_or_mpmath(tmp_path):
     assert [code for code, _ in seen] == [0] * len(argvs)
     roots = [{m.split(".")[0] for m in modules} for _, modules in seen]
     assert roots[1] == {"numpy"}  # the locking commands, for gamma_d
-    # the Nelder-Mead searches of verify lemma1 and verify all are in-house,
+    # the gradient searches of verify lemma1 and verify all are in-house,
     # and so is the subentropy of degenerate spectra in verify all
     assert [r for r in roots if "scipy" in r or "mpmath" in r] == []
 

@@ -13,6 +13,7 @@ from qcap.channels import (
     erasure_channel,
     identity_channel,
     main_channel,
+    padded_erasure,
     rocket_channel,
     switch_channel,
     tensor_channels,
@@ -66,8 +67,22 @@ def test_holevo_and_private_erasure():
     )
 
 
-@pytest.mark.parametrize("quantity", ["coherent_information", "holevo_bob", "private_value"])
+@pytest.mark.parametrize(
+    "quantity",
+    ["coherent_information", "holevo_bob", "private_value", "brute_force_p1", "brute_force_c1"],
+)
 def test_quantities_never_build_a_dense_kraus_stack(quantity, monkeypatch):
+    if quantity.startswith("brute_force"):
+        # the searches, over the largest switch under MAX_BRUTE_DIM and the
+        # channels of its components: any read of a dense stack fails
+        def dense(c):
+            raise AssertionError("a search read QuantumChannel.kraus")
+
+        monkeypatch.setattr(iq.qch.QuantumChannel, "kraus", property(dense))
+        ch = main_channel(1, Fraction(1, 4), 2)
+        value, _ = getattr(iq, quantity)(ch, iq.OptimizerConfig(restarts=2, iterations=20))
+        assert value > 0.9
+        return
     ch = main_channel(1, Fraction(1, 4), 3)
     seen = [ch]
     complementary = iq.qch.complementary
@@ -128,38 +143,40 @@ def test_brute_force_c1_erasure():
 
 
 def _reference_objective(obj, theta):
-    """The ensemble objective of one parameter vector, decoded alone, with
-    one eigvalsh and one 1-D spectrum_entropy per matrix: the form each row
-    of the batched objective must reproduce bit for bit. The private value
-    is H(B avg) - H(E avg), the members' entropies cancelling, with both
-    averages read off the average input through the whole superoperator."""
-    m, d = obj.m, obj.din
-    z = theta[: 2 * m * d].reshape(m, 2, d)
-    vecs = z[:, 0, :] + 1j * z[:, 1, :]
-    norms = np.linalg.norm(vecs, axis=1)
-    w = theta[2 * m * d :] ** 2
-    tot = float(np.sum(w))
-    if np.min(norms) < 1e-8 or tot < 1e-12:
+    """The ensemble objective of one parameter vector, computed alone and
+    block by block: the form each row of the batched objective must
+    reproduce bit for bit. The blocks are taken in the objective's order
+    (by shape, then channel order), each block's images K A by their own
+    product, every spectrum from eigh, and the spectra of an output
+    concatenated before one spectrum_entropy, as in the batch."""
+    d = obj.din
+    t = float(np.sum(theta * theta))
+    if not t > 0.0:
         return -1e3
-    vecs, probs = vecs / norms[:, None], w / tot
+    a = obj.matrices(theta[None])[0] / math.sqrt(t)
+    n_x = np.sum((a.conj() * a).real, axis=0)
+    inv = [1.0 / (n if n > 0.0 else 1.0) for n in n_x]  # a zero column has no member
+    bob, eve, members = [], [], []
+    for stack in obj.stacks:
+        for k in stack:
+            ne, nr, _ = k.shape
+            w = (k.reshape(-1, d) @ a).reshape(ne, nr, d)
+            wb = w.transpose(1, 0, 2).reshape(nr, ne * d)
+            we = w.reshape(ne, nr * d)
+            bob.append(np.linalg.eigh(wb @ wb.conj().T)[0])
+            eve.append(np.linalg.eigh(we @ we.conj().T)[0])
+            members.append([
+                np.linalg.eigh((w[:, :, x].T @ w[:, :, x].conj()) * inv[x])[0]
+                for x in range(d)
+            ])
 
-    def entropy(m):
-        return qcore.spectrum_entropy(np.linalg.eigvalsh(m))
+    def entropy(spectra):
+        return float(qcore.spectrum_entropy(np.concatenate(spectra)[None])[0])
 
-    k = obj.kraus
-    nk, dout, _ = k.shape
     if obj.want_private:
-        bob = np.einsum("kac,kbd->cdab", k, k.conj()).reshape(d * d, -1)
-        eve = np.einsum("kac,lad->cdkl", k, k.conj()).reshape(d * d, -1)
-        rho = np.einsum("x,xc,xd->cd", probs, vecs, vecs.conj())
-        outs = np.einsum("i,iz->z", rho.reshape(-1), np.concatenate([bob, eve], axis=1))
-        return entropy(outs[: dout**2].reshape(dout, dout)) - entropy(
-            outs[dout**2 :].reshape(nk, nk)
-        )
-    images = np.einsum("kab,xb->xka", k, vecs)
-    bob = np.einsum("xka,xkb->xab", images, images.conj())
-    avg_b = np.einsum("x,xab->ab", probs, bob)
-    return entropy(avg_b) - float(np.sum(probs * [entropy(o) for o in bob]))
+        return entropy(bob) - entropy(eve)
+    h_x = [entropy([m[x] for m in members]) for x in range(d)]
+    return entropy(bob) - float(np.sum(n_x * h_x))
 
 
 def _random_thetas(obj):
@@ -188,19 +205,20 @@ OBJECTIVE_CHANNELS = {
 @pytest.mark.parametrize("ch", list(OBJECTIVE_CHANNELS.values()), ids=list(OBJECTIVE_CHANNELS))
 def test_ensemble_objective_is_bit_identical_to_per_member_loop(ch, want_private):
     obj = iq._EnsembleObjective(ch, want_private)
-    thetas = iq._structured_starts(ch, obj) + _random_thetas(obj)
-    # the decode-failure sentinels, all-zero vectors and all-zero weights,
-    # sit between ordinary rows of the same batch
-    zero_weights = thetas[0].copy()
-    zero_weights[2 * obj.m * obj.din :] = 0.0
-    sentinels = {3: np.zeros(obj.n_params()), 7: zero_weights}
-    for i, theta in sentinels.items():
-        thetas.insert(i, theta)
-    got = obj.value(np.stack(thetas))
+    thetas = [iq._starts(obj.din, iq.OptimizerConfig(restarts=1))[0]] + _random_thetas(obj)
+    # the decode-failure sentinel, A = 0, sits between ordinary rows, and
+    # a column of weight zero leaves a member with no output
+    zero_column = thetas[1].reshape(2, obj.din, obj.din).copy()
+    zero_column[:, :, 0] = 0.0
+    thetas.insert(3, np.zeros(obj.n_params()))
+    thetas.insert(7, zero_column.ravel())
+    got, grad = obj.value(np.stack(thetas))
     assert got.shape == (len(thetas),) and got.dtype == np.float64
-    assert [got[i] for i in sentinels] == [-1e3, -1e3]
+    assert got[3] == -1e3 and not grad[3].any()
     mismatches = [i for i, t in enumerate(thetas) if got[i] != _reference_objective(obj, t)]
     assert mismatches == []
+    # every row's gradient is what it is in a batch of one
+    np.testing.assert_array_equal(grad, np.concatenate([obj.value(t[None])[1] for t in thetas]))
 
 
 @pytest.mark.parametrize(
@@ -209,56 +227,116 @@ def test_ensemble_objective_is_bit_identical_to_per_member_loop(ch, want_private
     ids=["lemma1-switch", "erasure-1/4"],
 )
 def test_private_objective_equals_the_per_member_holevo_difference(ch):
-    # H(B avg) - H(E avg) against I(X;B) - I(X;E) with every member's entropy
-    obj = iq._EnsembleObjective(ch, want_private=True)
-    thetas = np.stack(_random_thetas(obj))
-    vecs, probs, ok = obj.decode(thetas)
-    assert ok.all()
-    images = np.einsum("kab,yxb->yxka", obj.kraus, vecs)
-
-    def holevo(outs):
-        avg = np.einsum("yx,yxab->yab", probs, outs)
-        h_avg, h_outs = (qcore.spectrum_entropy(np.linalg.eigvalsh(m)) for m in (avg, outs))
-        return h_avg - np.sum(probs * h_outs, axis=1)
-
-    bob = holevo(np.einsum("yxka,yxkb->yxab", images, images.conj()))
-    eve = holevo(np.einsum("yxka,yxla->yxkl", images, images.conj()))
-    np.testing.assert_allclose(obj.value(thetas), bob - eve, rtol=0, atol=1e-12)
+    # the objective against I(X;B) - I(X;E) with every member's entropy,
+    # on the ensemble of the columns of A; the Holevo objective against
+    # I(X;B) on the same ensemble
+    private = iq._EnsembleObjective(ch, want_private=True)
+    holevo = iq._EnsembleObjective(ch, want_private=False)
+    thetas = np.stack(_random_thetas(private)[:100])
+    ensembles = [iq._ensemble(ch.in_layout, a) for a in private.matrices(thetas)]
+    np.testing.assert_allclose(
+        private.value(thetas)[0], [iq.private_value(ch, e).value for e in ensembles], rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        holevo.value(thetas)[0], [iq.holevo_bob(ch, e).value for e in ensembles], rtol=0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("ch", list(OBJECTIVE_CHANNELS.values()), ids=list(OBJECTIVE_CHANNELS))
 def test_private_objective_equals_coherent_information_of_the_average_input(ch):
-    # the superoperator lane against the block-form lane on the same input
     obj = iq._EnsembleObjective(ch, want_private=True)
     thetas = np.stack(_random_thetas(obj)[:100])
-    vecs, probs, ok = obj.decode(thetas)
-    assert ok.all()
     lane = []
-    for p_row, v_row in zip(probs, vecs):
-        rho = sum(p * np.outer(v, v.conj()) for p, v in zip(p_row, v_row))
-        rho = DensityOperator(ch.in_layout, rho, check_psd=False)
+    for a in obj.matrices(thetas):
+        rho = a @ a.conj().T
+        rho = DensityOperator(ch.in_layout, rho / np.trace(rho).real, check_psd=False)
         lane.append(iq.coherent_information(ch, rho).value)
-    np.testing.assert_allclose(obj.value(thetas), lane, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(obj.value(thetas)[0], lane, rtol=0, atol=1e-12)
 
 
-def _assert_matches_scipy(res, fun, x0s, iterations):
-    """Each start of the lockstep search `res` against scipy's adaptive
-    Nelder-Mead on the scalar `fun` from the same start: x and fun bit for
-    bit, and the evaluations summed over the starts."""
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    ref = [
-        minimize(fun, x0, method="Nelder-Mead",
-                 options={"maxiter": iterations, "xatol": 1e-7, "fatol": 1e-10, "adaptive": True})
-        for x0 in x0s
-    ]
-    assert res.x.shape == x0s.shape and res.fun.shape == (len(x0s),)
-    assert [r for r, s in enumerate(ref) if not np.array_equal(s.x, res.x[r])] == []
-    assert [r for r, s in enumerate(ref) if float(s.fun) != res.fun[r]] == []
-    assert type(res.nfev) is int and res.nfev == sum(s.nfev for s in ref)
-    return ref
+GRADIENT_CHANNELS = {
+    "lemma1-switch": LEMMA1_SWITCH,
+    "padded-erasure-1-1/4-2": padded_erasure(1, Fraction(1, 4), 2),
+    "rocket-2-pauli": rocket_channel(2, "pauli"),
+}
 
 
-LOCKSTEP_CASES = {
+@pytest.mark.parametrize("want_private", [True, False], ids=["private", "holevo"])
+@pytest.mark.parametrize("ch", list(GRADIENT_CHANNELS.values()), ids=list(GRADIENT_CHANNELS))
+def test_objective_gradient_matches_central_differences(ch, want_private):
+    obj = iq._EnsembleObjective(ch, want_private)
+    thetas = np.random.default_rng(8).standard_normal((3, obj.n_params()))
+    _, grad = obj.value(thetas)
+    h = 1e-6
+    steps = np.eye(obj.n_params()) * h
+    numeric = np.stack([
+        (obj.value(thetas + e)[0] - obj.value(thetas - e)[0]) / (2 * h) for e in steps
+    ], axis=1)
+    np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
+    # the value does not change with the scale of A, so the gradient is
+    # orthogonal to A
+    np.testing.assert_allclose(np.sum(grad * thetas, axis=1), 0.0, atol=1e-12)
+
+
+KNOWN_SINGLE_USE = {
+    # Q1 = 1: with the second input at |0>, both rockets send the first
+    # input noiselessly to Bob (ROADMAP item 1)
+    "rocket-2-identity-Q1": (rocket_channel(2, "identity"), True, 1.0),
+    "rocket-2-pauli-Q1": (rocket_channel(2, "pauli"), True, 1.0),
+    "padded-erasure-1-1/4-2-Q1": (padded_erasure(1, Fraction(1, 4), 2), True, 0.5),
+    # needs the switch split: the rocket component reaches 1 at flag 0
+    "main-1-1/4-2-Q1": (main_channel(1, Fraction(1, 4), 2), True, 1.0),
+    # flag and data both carry information: log2(2^(1-p) + 2^(1-q))
+    "lemma1-switch-C1": (LEMMA1_SWITCH, False, math.log2(2**0.9 + 2**0.6)),
+}
+
+
+@pytest.mark.parametrize("case", list(KNOWN_SINGLE_USE))
+def test_single_use_searches_reach_known_values(case):
+    ch, want_private, known = KNOWN_SINGLE_USE[case]
+    search = iq.brute_force_p1 if want_private else iq.brute_force_c1
+    value, ens = search(ch, iq.OptimizerConfig(restarts=4, iterations=300, seed=3))
+    assert known - 1e-6 <= value <= known + 1e-9
+    # the ensemble returned carries the value found
+    again = (iq.private_value if want_private else iq.holevo_bob)(ch, ens).value
+    assert again == pytest.approx(value, abs=1e-9)
+
+
+def test_private_search_runs_once_per_switch_component(monkeypatch):
+    ch = main_channel(1, Fraction(1, 4), 2)
+    parts = iq._components(ch)
+    assert [list(cols) for cols, _ in parts] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert [part.in_dim for _, part in parts] == [4, 4]
+    # a channel whose blocks share their columns is one group, itself
+    padded = padded_erasure(1, Fraction(1, 4), 2)
+    assert [part for _, part in iq._components(padded)] == [padded]
+    starts = []
+    minimize = iq.minimize
+
+    def recording(fun, x0s, maxiter):
+        starts.append(x0s.shape)
+        return minimize(fun, x0s, maxiter)
+
+    monkeypatch.setattr(iq, "minimize", recording)
+    _, ens = iq.brute_force_p1(ch, iq.OptimizerConfig(restarts=3, iterations=50, seed=0))
+    assert starts == [(3, 32), (3, 32)]
+    # the rocket component wins, and its ensemble sits at flag 0
+    flag0 = [float(qcore.partial_trace(rho, [0]).matrix[0, 0].real) for _, rho in ens.items]
+    assert flag0 == pytest.approx([1.0] * len(ens.items), abs=1e-15)
+
+
+def test_dim_cap_applies_to_the_searched_dimension():
+    # a switch of two erasures on 5 inputs has 10 inputs: the private
+    # search runs on each 5-dimensional component, the Holevo search on all
+    sw = switch_channel([erasure_channel(Fraction(1, 10), 5), erasure_channel(Fraction(2, 5), 5)])
+    cfg = iq.OptimizerConfig(restarts=2, iterations=100, seed=0)
+    value, _ = iq.brute_force_p1(sw, cfg)
+    assert value == pytest.approx(0.8 * math.log2(5), abs=1e-9)
+    with pytest.raises(ValueError, match="got 10"):
+        iq.brute_force_c1(sw, cfg)
+
+
+ASCENT_CASES = {
     f"lemma1-seed{s}": (LEMMA1_SWITCH, True, iq.OptimizerConfig(10, 500, verify._child_seed(s, 1)))
     for s in range(4)
 } | {
@@ -269,32 +347,40 @@ LOCKSTEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
-def test_lockstep_nelder_mead_is_bit_identical_to_scipy(case):
-    ch, want_private, cfg = LOCKSTEP_CASES[case]
+@pytest.mark.parametrize("case", list(ASCENT_CASES))
+def test_batched_ascent_matches_each_start_run_alone(case):
+    ch, want_private, cfg = ASCENT_CASES[case]
     obj = iq._EnsembleObjective(ch, want_private)
-    x0s = iq._starting_points(obj, iq._structured_starts(ch, obj), cfg)
+    x0s = iq._starts(obj.din, cfg)
     if case == "zero-start":
-        # an all-zero start puts decode-failure rows into the first batches
+        # A = 0 does not decode: its row keeps the sentinel and stops at once
         x0s = np.concatenate([x0s, np.zeros((1, obj.n_params()))])
-    res = iq.minimize(lambda t: -obj.value(t), x0s, cfg.iterations)
-    ref = _assert_matches_scipy(res, lambda t: -_reference_objective(obj, t), x0s, cfg.iterations)
-    if case == "erasure-1/2":
-        # starts leave the batch early, and some shrink (N evaluations in
-        # one iteration, beyond the one or two every iteration makes)
-        n = obj.n_params()
-        assert min(s.nit for s in ref) < cfg.iterations
-        assert any(s.nfev > n + 1 + 2 * s.nit for s in ref)
+
+    def fun(theta):
+        val, grad = obj.value(theta)
+        return -val, -grad
+
+    res = iq.minimize(fun, x0s, cfg.iterations)
+    alone = [iq.minimize(fun, x0[None], cfg.iterations) for x0 in x0s]
+    assert res.x.shape == x0s.shape and res.fun.shape == (len(x0s),)
+    assert [r for r, a in enumerate(alone) if not np.array_equal(a.x[0], res.x[r])] == []
+    assert [r for r, a in enumerate(alone) if a.fun[0] != res.fun[r]] == []
+    assert type(res.nfev) is int and res.nfev == sum(a.nfev for a in alone)
+    if case == "zero-start":
+        assert res.fun[-1] == 1e3 and alone[-1].nfev == 1
+    if case == "one-iteration":
+        assert res.nfev <= len(x0s) * (1 + iq._MAX_HALVINGS)
 
 
-def test_lockstep_nelder_mead_breaks_ties_as_scipy_does():
-    # a staircase: reflected, contracted and vertex values tie often, so
-    # the strictness of each comparison decides the path
-    def stairs(x):
-        return np.floor(np.sum(np.abs(x), axis=-1))
-
-    x0s = np.random.default_rng(3).standard_normal((30, 3)) * 5
-    _assert_matches_scipy(iq.minimize(stairs, x0s, 200), stairs, x0s, 200)
+def test_search_ties_keep_the_earlier_group():
+    # both components are the same channel, so both searches end on the
+    # same value bit for bit, and the flag-0 ensemble is kept
+    sw = switch_channel([identity_channel(2), identity_channel(2)])
+    value, ens = iq.brute_force_p1(sw, iq.OptimizerConfig(restarts=3, iterations=100, seed=4))
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert sum(p * float(qcore.partial_trace(rho, [0]).matrix[0, 0].real) for p, rho in ens.items) == (
+        pytest.approx(1.0, abs=1e-15)
+    )
 
 
 def test_brute_force_rejects_large_inputs():
