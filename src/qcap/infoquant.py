@@ -24,7 +24,7 @@ import numpy as np
 
 from . import as_fraction, qcore
 from . import channels as qch
-from .channels import BlockOutput, CqEnsemble, QuantumChannel
+from .channels import CqEnsemble, QuantumChannel
 from .qcore import DensityOperator, PureState
 
 MAX_BRUTE_DIM = 8
@@ -50,21 +50,11 @@ class OptimizerConfig:
             raise ValueError("restarts and iterations must be positive")
 
 
-def _block_stacks(outs: list[BlockOutput]) -> list[np.ndarray]:
-    """The blocks of outputs of one channel as one (len(outs), count, s, s)
-    stack per block size s, sizes ascending."""
-    sizes = [len(rows) for rows in outs[0].rows]
-    return [
-        np.array([[b for b, n in zip(o.blocks, sizes) if n == s] for o in outs])
-        for s in sorted(set(sizes))
-    ]
-
-
 def _entropies(stacks: list[np.ndarray]) -> tuple[list[float], float]:
-    """Entropies of the outputs whose blocks `stacks` holds (as from
-    _block_stacks), from one eigvalsh per block size over those blocks of
-    every output at once, and the largest distance of an output's spectrum
-    sum from 1."""
+    """Entropies of the outputs whose blocks `stacks` holds (as
+    channels.block_stacks lays them out), from one eigvalsh per block size
+    over those blocks of every output at once, and the largest distance of
+    an output's spectrum sum from 1."""
     w = np.concatenate([np.linalg.eigvalsh(g).reshape(len(g), -1) for g in stacks], axis=1)
     resid = float(np.max(np.abs(np.sum(w, axis=1) - 1.0)))
     return qcore.spectrum_entropy(w).tolist(), resid
@@ -73,8 +63,8 @@ def _entropies(stacks: list[np.ndarray]) -> tuple[list[float], float]:
 def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult:
     """H(B) - H(E) for the given input."""
     comp = qch.complementary(ch)
-    (hb,), rb = _entropies(_block_stacks([qch.apply(ch, rho)]))
-    (he,), re_ = _entropies(_block_stacks([qch.apply(comp, rho)]))
+    (hb,), rb = _entropies([g[None] for g in qch.block_stacks(qch.apply(ch, rho).blocks)])
+    (he,), re_ = _entropies([g[None] for g in qch.block_stacks(qch.apply(comp, rho).blocks)])
     return InfoResult(
         value=hb - he,
         components={"H(B)": hb, "H(E)": he},
@@ -84,7 +74,7 @@ def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult
 
 def _holevo(ch: QuantumChannel, ens: CqEnsemble, side: str) -> InfoResult:
     probs = [p for p, _ in ens.items]
-    stacks = _block_stacks([qch.apply(ch, rho) for _, rho in ens.items])
+    stacks = qch.apply_ensemble(ch, ens)
     # the average output, block by block, summed in ensemble order
     avg = [sum(p * o for p, o in zip(probs, g)) for g in stacks]
     (h_avg, *hs), resid = _entropies([np.concatenate([a[None], g]) for a, g in zip(avg, stacks)])
@@ -625,17 +615,26 @@ def haar_measured_entropy(
     """Monte Carlo mean of the measured entropy over Haar-random bases.
 
     Returns (mean bits, standard error). Deterministic given the seed.
+    rho is factored once (channels.rank_factors) as sum_j s_j a_j a_j^dag,
+    so the outcome probabilities of sample U are <u_i|rho|u_i> =
+    sum_j s_j |<a_j|u_i>|^2 over its columns u_i: one matrix product of
+    the rank factor with every sample's columns, and one with the signs,
+    per chunk of 50000 samples.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = rho.dim
+    (a,), (sign,) = qch.rank_factors(rho.matrix[None])
+    a_dag = a.conj().T
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ent = np.empty(samples)
     done = 0
     while done < samples:
         chunk = min(50000, samples - done)
         u = qcore.haar_unitaries(d, chunk, rng)
-        probs = np.einsum("sji,jk,ski->si", u.conj(), rho.matrix, u).real
+        # <a_j|u_i> for every column u_i of every sample, from one product
+        x = a_dag @ u.transpose(1, 0, 2).reshape(d, -1)
+        probs = (sign @ (x.real**2 + x.imag**2)).reshape(chunk, d)
         ent[done : done + chunk] = qcore.spectrum_entropy(probs)
         done += chunk
     mean = float(np.mean(ent))

@@ -1,7 +1,8 @@
 """The traced benchmark run as a test: bench/tracing.py wraps qcap
 functions by name and bench/run.py reads the medians of their spans, so a
 rename, or a path that no longer reaches a wrapped function, ends the traced
-run with an error. The run works on a copy of bench/ whose src/ points at
+run with an error, and a path that reaches one more or less often changes
+its call counts. The run works on a copy of bench/ whose src/ points at
 this checkout, so its outputs land in the test's temporary directory."""
 
 import json
@@ -29,4 +30,9 @@ def test_traced_verify_seeded_run_completes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
-    assert result["metrics"]["verify.checks"]["value"] == 44
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["verify.checks"] == 44
+    # dense-switch's two `info coherent` commands still reach apply for the
+    # channel and its complement, over the dense stack's flop count
+    assert metrics["channels.apply.calls"] == 4
+    assert round(metrics["channels.apply.gflop_computed"], 8) == 27.73255968

@@ -290,6 +290,131 @@ def test_block_output_checks_hermiticity_and_trace_per_block(block):
         with_block(heavy)
 
 
+def _apply_one_state(ch, rho):
+    """apply's blocks as the per-state kernel computed them before the
+    batched kernel replaced it: the reference for a batch of one."""
+    lam, vecs = np.linalg.eigh(rho.matrix)
+    mag = np.abs(lam)
+    keep = mag > mag.max() * ch.in_dim * np.finfo(np.float64).eps
+    a = vecs[:, keep] * np.sqrt(mag[keep])
+    sign = np.sign(lam[keep])
+    out = []
+    for rows, _, k in ch.blocks:
+        w = np.matmul(k.swapaxes(0, 1), a)
+        ws = w.conj()
+        ws *= sign
+        out.append(w.reshape(len(rows), -1) @ ws.reshape(len(rows), -1).T)
+    return out
+
+
+def _dense_switch_cases():
+    """main_channel(1, 1/4, 3) with its erasure-branch and its pure input,
+    the d=3 witness pair group with its input, and a complement."""
+    d = 3
+    ch = main_channel(1, Fraction(1, 4), d)
+    erasure_in = np.zeros((2 * d * d, 2 * d * d), dtype=complex)
+    for i in range(d):
+        erasure_in[d * d + i * d, d * d + i * d] = 1 / d
+    erasure_in = qcore.DensityOperator(ch.in_layout, erasure_in)
+    pure_in = qcore.random_pure(ch.in_layout, np.random.default_rng(30)).to_density()
+    pair = tensor_channels(rocket_channel(d), erasure_channel(Fraction(1, 4), d))
+    pair_in = qcore.tensor(qcore.max_mixed(d), qcore.max_entangled(d).to_density())
+    return [(ch, erasure_in), (ch, pure_in), (pair, pair_in), (complementary(ch), pure_in)]
+
+
+@pytest.mark.parametrize(
+    "case", range(4), ids=["switch-erasure", "switch-pure", "pair-d3", "complement"]
+)
+def test_apply_is_bit_identical_to_the_per_state_kernel(case):
+    ch, rho = _dense_switch_cases()[case]
+    got = apply(ch, rho).blocks
+    want = _apply_one_state(ch, rho)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def _mixed_rank_states(layout, rng):
+    """A pure, a full-rank and a rank-2 state, and one of rank 3 whose
+    fourth eigenvalue is -1e-12."""
+    d = layout.total
+    v = qcore.haar_unitaries(d, 1, rng)[0]
+    lam = np.array([0.5, 0.3, 0.2 + 1e-12] + [0.0] * (d - 4) + [-1e-12])
+    return [
+        qcore.random_pure(layout, rng).to_density(),
+        qcore.random_density(layout, rng),
+        qcore.random_density(layout, rng, rank=2),
+        qcore.DensityOperator(layout, (v * lam) @ v.conj().T),
+    ]
+
+
+def test_rank_factors_pad_lower_ranks_with_zero_columns_of_sign_zero():
+    rng = np.random.default_rng(31)
+    states = _mixed_rank_states(qcore.SystemLayout((2, 2)), rng)
+    a, sign = channels.rank_factors(np.array([rho.matrix for rho in states]))
+    # the full-rank member keeps all four pairs; the others pad in place,
+    # each member's kept pairs in ascending order of eigenvalue
+    assert sign.tolist() == [[0, 0, 0, 1], [1, 1, 1, 1], [0, 0, 1, 1], [-1, 1, 1, 1]]
+    assert not np.any(a.swapaxes(1, 2)[sign == 0.0])
+    lam = sign * np.sum(abs(a) ** 2, axis=1)  # each pair's eigenvalue, 0 where padded
+    for rho, ai, si, li in zip(states, a, sign, lam):
+        assert np.all(np.diff(li[si != 0.0]) > 0)
+        np.testing.assert_allclose((ai * si) @ ai.conj().T, rho.matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lam[3], [-1e-12, 0.2 + 1e-12, 0.3, 0.5], rtol=0, atol=1e-15)
+    # one state: its kept pairs only, no padding
+    one, one_sign = channels.rank_factors(states[2].matrix[None])
+    assert one.shape == (1, 4, 2) and one_sign.tolist() == [[1, 1]]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: tensor_channels(
+            erasure_channel(Fraction(3, 10), 2), erasure_channel(Fraction(7, 10), 2)
+        ),
+        lambda: complementary(main_channel(1, Fraction(1, 4), 2)),
+    ],
+    ids=["erasure-pair", "main-complement"],
+)
+def test_apply_ensemble_matches_apply_per_member(make):
+    ch = make()
+    states = _mixed_rank_states(ch.in_layout, np.random.default_rng(32))
+    ens = CqEnsemble(tuple((0.25, rho) for rho in states))
+    stacks = channels.apply_ensemble(ch, ens)
+    per_member = [channels.block_stacks(apply(ch, rho).blocks) for rho in states]
+    assert [g.shape for g in stacks] == [(4,) + g.shape for g in per_member[0]]
+    for i, blocks in enumerate(per_member):
+        for g, b in zip(stacks, blocks):
+            np.testing.assert_allclose(g[i], b, rtol=0, atol=1e-15)
+    # the -1e-12 eigenvalue keeps its sign, so every trace stays exact
+    traces = sum(np.trace(g, axis1=-2, axis2=-1).sum(axis=1) for g in stacks)
+    np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-15)
+    assert not any(g.flags.writeable for g in stacks)
+
+
+def test_apply_ensemble_checks_every_member():
+    ch = erasure_channel(Fraction(1, 4), 2)
+    ens = CqEnsemble(tuple((0.5, qcore.basis_state(2, x).to_density()) for x in range(2)))
+    blocks = channels._apply_factors(ch, np.array([rho.matrix for _, rho in ens.items]))
+    channels._check_outputs(blocks)
+    skew = [np.array(b) for b in blocks]
+    skew[0][1, 0, 1] += 1e-8
+    with pytest.raises(ValueError, match="output block is not Hermitian"):
+        channels._check_outputs(skew)
+    # member 0 gains what member 1 loses: the traces summed over the batch
+    # still read 2, but each member's deviates
+    shifted = [np.array(b) for b in blocks]
+    shifted[0][0, 0, 0] += 1e-8
+    shifted[0][1, 0, 0] -= 1e-8
+    with pytest.raises(ValueError, match="output trace deviates from 1 by 1.000e-08"):
+        channels._check_outputs(shifted)
+    # a Kraus family 4e-10 off trace preserving, which construction admits
+    leaky = QuantumChannel(ch.in_layout, ch.out_layout, ch.env_layout,
+                           tuple((r, e, k * np.sqrt(1 + 4e-10)) for r, e, k in ch.blocks))
+    with pytest.raises(ValueError, match="output trace deviates from 1 by 4.000e-10"):
+        channels.apply_ensemble(leaky, ens)
+    with pytest.raises(ValueError, match="does not match channel input"):
+        channels.apply_ensemble(identity_channel(3), ens)
+
+
 def test_main_channel_wiring():
     ch = main_channel(1, Fraction(11, 24), 2)
     assert ch.in_layout.dims == (2, 2, 2)

@@ -21,7 +21,12 @@ while Haar unitaries still came from LAPACK QR and the private objective
 still built every member's output. The `verify all` files for seeds 5 to
 7 were recorded before the single-use searches moved from Nelder-Mead to
 gradient ascent, so every `verify all` file was recorded under
-Nelder-Mead.
+Nelder-Mead. The `info holevo` and `info private` files, for
+erasure(3/10) x erasure(7/10) and for lemma1's switch of erasure(1/10)
+and erasure(2/5), each on an ensemble of a pure, a full-rank and a rank-2
+member (channel and ensemble JSON alongside), were recorded while
+`apply` still took one ensemble member at a time, before members of
+unequal rank went through one batched kernel with zero padding.
 """
 
 import json
@@ -48,6 +53,14 @@ CASES = [
 ] + [
     (f"bounds_theorem_n{n}.csv", ["bounds", "theorem", "--n", str(n), "--format", "csv"])
     for n in (2, 3, 7, 64)
+] + [
+    (
+        f"info_{quantity}_{channel}_mixed_rank.txt",
+        ["info", quantity, "--channel", str(GOLDEN / f"channel_{channel}.json"),
+         "--ensemble", str(GOLDEN / f"ensemble_mixed_rank_{ensemble}.json")],
+    )
+    for channel, ensemble in (("erasure_3-10_x_erasure_7-10", "a"), ("lemma1_switch", "b"))
+    for quantity in ("holevo", "private")
 ]
 
 

@@ -69,16 +69,18 @@ def test_holevo_and_private_erasure():
 
 @pytest.mark.parametrize(
     "quantity",
-    ["coherent_information", "holevo_bob", "private_value", "brute_force_p1", "brute_force_c1"],
+    ["coherent_information", "holevo_bob", "holevo_eve", "private_value", "brute_force_p1",
+     "brute_force_c1"],
 )
 def test_quantities_never_build_a_dense_kraus_stack(quantity, monkeypatch):
+    # any read of a dense stack fails
+    def dense(c):
+        raise AssertionError(f"{quantity} read QuantumChannel.kraus")
+
+    monkeypatch.setattr(iq.qch.QuantumChannel, "kraus", property(dense))
     if quantity.startswith("brute_force"):
         # the searches, over the largest switch under MAX_BRUTE_DIM and the
-        # channels of its components: any read of a dense stack fails
-        def dense(c):
-            raise AssertionError("a search read QuantumChannel.kraus")
-
-        monkeypatch.setattr(iq.qch.QuantumChannel, "kraus", property(dense))
+        # channels of its components
         ch = main_channel(1, Fraction(1, 4), 2)
         value, _ = getattr(iq, quantity)(ch, iq.OptimizerConfig(restarts=2, iterations=20))
         assert value > 0.9
@@ -100,7 +102,6 @@ def test_quantities_never_build_a_dense_kraus_stack(quantity, monkeypatch):
         ens = CqEnsemble(((0.5, rho), (0.5, qcore.random_pure(ch.in_layout, rng).to_density())))
         getattr(iq, quantity)(ch, ens)
     assert len(seen) == (1 if quantity == "holevo_bob" else 2)
-    assert ["kraus" in c.__dict__ for c in seen] == [False] * len(seen)
 
 
 def test_private_value_vanishes_at_half():
@@ -561,8 +562,9 @@ HAAR_BITS_QR = {
     ],
 }
 
-# the same, recorded from haar_unitaries' Gram-Schmidt, which moves last bits
-HAAR_BITS = {
+# the same, recorded from haar_unitaries' Gram-Schmidt, which moves last
+# bits, while the probabilities still came from the three-operand einsum
+HAAR_BITS_EINSUM = {
     ("pure", 64): [
         ("0x1.68eb0613bc60bp-1", "0x1.3437e715fd8d1p-5"),
         ("0x1.806d653075fe7p-1", "0x1.ee648318ff094p-6"),
@@ -590,6 +592,25 @@ HAAR_BITS = {
 }
 
 
+# the same, with the probabilities contracted through rho's rank factor: a
+# pure state's are unchanged bit for bit, the mixed state's move last bits
+HAAR_BITS = {
+    **HAAR_BITS_EINSUM,
+    ("mixed3", 64): [
+        ("0x1.8fd313ba3cab6p+0", "0x1.237ef409f0c41p-9"),
+        ("0x1.8f92a93c63713p+0", "0x1.2643164031245p-9"),
+        ("0x1.8f4b9001dd0f5p+0", "0x1.37404ebd85425p-9"),
+        ("0x1.8e30622767134p+0", "0x1.2ce91c1f023a1p-9"),
+    ],
+    ("mixed3", 200000): [
+        ("0x1.8f535b34e7d73p+0", "0x1.68cabff235031p-15"),
+        ("0x1.8f4d706d2a5fbp+0", "0x1.691ebc10b9c56p-15"),
+        ("0x1.8f4eacb626a8fp+0", "0x1.69073a281d9e2p-15"),
+        ("0x1.8f5130ff53f2ep+0", "0x1.68920050e5ae8p-15"),
+    ],
+}
+
+
 @pytest.mark.parametrize("state,samples", list(HAAR_BITS), ids=lambda v: str(v))
 def test_haar_measured_entropy_bits_are_pinned(state, samples):
     rho = {
@@ -598,8 +619,35 @@ def test_haar_measured_entropy_bits_are_pinned(state, samples):
     }[state]
     got = [iq.haar_measured_entropy(rho, samples, seed) for seed in range(4)]
     assert [(m.hex(), se.hex()) for m, se in got] == HAAR_BITS[state, samples]
-    qr = [float.fromhex(h) for pair in HAAR_BITS_QR[state, samples] for h in pair]
-    assert [abs(g - q) <= 1e-12 * abs(q) for g, q in zip(np.ravel(got), qr)] == [True] * 8
+    for table in (HAAR_BITS_EINSUM, HAAR_BITS_QR):
+        old = [float.fromhex(h) for pair in table[state, samples] for h in pair]
+        assert [abs(g - q) <= 1e-12 * abs(q) for g, q in zip(np.ravel(got), old)] == [True] * 8
+
+
+def _einsum_measured_entropy(rho, samples, seed):
+    """haar_measured_entropy with the probabilities of the three-operand
+    einsum <u_i|rho|u_i>, from the same draws."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    u = qcore.haar_unitaries(rho.dim, samples, rng)
+    ent = qcore.spectrum_entropy(np.einsum("sji,jk,ski->si", u.conj(), rho.matrix, u).real)
+    return float(np.mean(ent)), float(np.std(ent, ddof=1) / math.sqrt(samples))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_haar_measured_entropy_matches_the_einsum_contraction(d):
+    rng = np.random.default_rng(40 + d)
+    states = {
+        "pure": basis_state(d, d - 1).to_density(),
+        "full": qcore.random_density((d,), rng),
+        "rank-deficient": qcore.random_density((d,), rng, rank=d - 1),
+    }
+    for name, rho in states.items():
+        got = iq.haar_measured_entropy(rho, 3000, d)
+        want = _einsum_measured_entropy(rho, 3000, d)
+        if name == "pure":
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_measured_entropy_subentropy_constant():
