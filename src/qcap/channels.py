@@ -17,19 +17,19 @@ the pairwise Kronecker products of blocks. The canonical complement,
 N_c(rho)[i,j] = Tr(K_i rho K_j^dag), is the same blocks with rows and env,
 and the first two axes of kraus, swapped.
 
-One kernel, _apply_factors, applies a channel to a stack of m states, and
-never forms K rho K^dag operator by operator. It factors every input at
-once (rank_factors: one batched eigh) as rho = sum_j s_j a_j a_j^dag over
-its numerically nonzero eigenpairs (s_j = +-1), so each block's output is
-W diag(s) W^dag of the images W = [K_k a_j] stacked side by side: one
-matmul call per block forms the images of every state, and one batched
-product every state's block. The work scales with the rank of the inputs
-and the size of the blocks, and both products run in BLAS. `apply` is the
-kernel over one state, with the products of a per-state kernel, and
-returns a BlockOutput, one square matrix per block; the dense out_dim x
-out_dim matrix exists only if something reads it. `apply_ensemble` is
-the kernel over every state of an ensemble, and returns the outputs as
-one stack per block size.
+One kernel, _apply_factors, applies a channel to one state or to a stack
+of m states, and never forms K rho K^dag operator by operator. It factors
+the input (rank_factors: one eigh, batched over a stack) as rho = sum_j
+s_j a_j a_j^dag over its numerically nonzero eigenpairs (s_j = +-1), so
+each block's output is W diag(s) W^dag of the images W = [K_k a_j]
+stacked side by side: one matmul call per block forms the images of
+every state, and one product every state's block. The work scales with
+the rank of the inputs and the size of the blocks, and both products run
+in BLAS. `apply` is the kernel on one state, with the products of a
+per-state kernel, and returns a BlockOutput, one square matrix per block;
+the dense out_dim x out_dim matrix exists only if something reads it.
+`apply_ensemble` is the kernel on every state of an ensemble at once, and
+returns one (m, s, s) stack per block.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _check_outputs(blocks) -> None:
     and the block traces of each output summing to 1 within TOL_TRACE. A
     block is one output's (s, s) matrix, or the (m, s, s) stack of that
     block over m outputs."""
-    herm = float(max((abs(b - b.conj().mT).max() for b in blocks), default=0.0))
+    herm = float(max((abs(b - b.conj().swapaxes(-1, -2)).max() for b in blocks), default=0.0))
     if herm > TOL_HERMITIAN:
         raise ValueError(f"output block is not Hermitian (deviation {herm:.3e})")
     dev = float(np.max(np.abs(sum(b.trace(axis1=-2, axis2=-1) for b in blocks) - 1.0)))
@@ -196,49 +196,56 @@ class CqEnsemble:
 
 
 def rank_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (a, s) of a (m, d, d) stack of Hermitian matrices, with
-    mats[i] = sum_j s[i, j] a[i, :, j] a[i, :, j]^dag.
+    """Factors (a, s) of a Hermitian (d, d) matrix, or of each of a (m, d,
+    d) stack of them, with mats[..., :, :] = a diag(s) a^dag.
 
-    a[i, :, j] = sqrt|lam_j| v_j over member i's eigenpairs above the
+    The columns of a are sqrt|lam_j| v_j over the eigenpairs above the
     matrix_rank cut (|lam| > max|lam| * d * eps), in ascending order, and
-    s[i, j] the sign of lam_j: the slightly negative eigenvalues that a
+    s_j the sign of lam_j: the slightly negative eigenvalues that a
     DensityOperator admits keep their sign, so traces stay exact. One
-    batched eigh factors every member; a member of lower rank than the
+    batched eigh factors a whole stack; a member of lower rank than the
     stack's is padded with zero columns of sign 0.
     """
     lam, vecs = np.linalg.eigh(mats)
     mag = np.abs(lam)
-    keep = mag > mag.max(axis=1, keepdims=True) * mats.shape[-1] * np.finfo(np.float64).eps
-    cols = keep.any(axis=0)  # the pairs some member keeps; the others pad
-    lam = np.where(keep, lam, 0.0)[:, cols]
-    return vecs[:, :, cols] * np.sqrt(np.abs(lam))[:, None, :], np.sign(lam)
+    keep = mag > mag.max(axis=-1, keepdims=True) * mats.shape[-1] * np.finfo(np.float64).eps
+    cols = keep.reshape(-1, keep.shape[-1]).any(axis=0)  # the pairs some member keeps
+    lam = np.where(keep, lam, 0.0)[..., cols]
+    return vecs[..., cols] * np.sqrt(np.abs(lam))[..., None, :], np.sign(lam)
 
 
 def _apply_factors(ch: QuantumChannel, mats: np.ndarray) -> list[np.ndarray]:
-    """The kernel behind apply and apply_ensemble: the outputs of a (m,
-    in_dim, in_dim) stack of states, as one read-only (m, len(rows),
-    len(rows)) stack per block of ch, in the order of its blocks.
+    """The kernel behind apply and apply_ensemble: the output of a state
+    (in_dim, in_dim), or of each of a (m, in_dim, in_dim) stack of states,
+    as one read-only (len(rows), len(rows)) block, or (m, len(rows),
+    len(rows)) stack of blocks, per block of ch, in the order of its blocks.
 
-    With every member factored by rank_factors into a_i diag(s_i) a_i^dag,
-    the images W_i[r, (k, j)] = (K_k a_ij)[r] of every member come from one
-    matmul call per block, and W_i diag(s_i) W_i^dag, member i's block on
-    those rows, from one batched product. For one state there is no
-    padding, and the BLAS products are those of the per-state kernel that
-    this one replaced, so apply's outputs are bit for bit what they were.
+    With mats factored by rank_factors into a diag(s) a^dag, the images
+    W[r, (k, j)] = (K_k a_j)[r] of every state come from one matmul call per
+    block, and W diag(s) W^dag, the state's block on those rows, from one
+    (batched) product. For one state there is no padding and no batch axis,
+    so apply issues the BLAS products of the per-state kernel that this one
+    replaced, and its outputs are bit for bit what they were.
     """
     if mats.shape[-1] != ch.in_dim:
         raise ValueError(
             f"state dimension {mats.shape[-1]} does not match channel input {ch.in_dim}"
         )
     a, sign = rank_factors(mats)
-    m, a, sign = len(a), a[:, None], sign[:, None, None, :]
+    m = len(a) if a.ndim == 3 else None  # None: one state, no batch axis
+    if m is not None:
+        a, sign = a[:, None], sign[:, None, None, :]
     out = []
     for rows, _, k in ch.blocks:
-        # one small GEMM per member and output row over the strided view K[:, row, :]
-        w = np.matmul(k.swapaxes(0, 1), a)  # (m, rows, env, rank)
+        # one small GEMM per state and output row over the strided view K[:, row, :]
+        w = np.matmul(k.swapaxes(0, 1), a)  # ([m,] rows, env, rank)
         ws = w.conj()
         ws *= sign
-        block = w.reshape(m, len(rows), -1) @ ws.reshape(m, len(rows), -1).mT
+        n = len(rows)
+        if m is None:
+            block = w.reshape(n, -1) @ ws.reshape(n, -1).T
+        else:
+            block = w.reshape(m, n, -1) @ ws.reshape(m, n, -1).swapaxes(1, 2)
         block.setflags(write=False)
         out.append(block)
     return out
@@ -246,35 +253,19 @@ def _apply_factors(ch: QuantumChannel, mats: np.ndarray) -> list[np.ndarray]:
 
 def apply(ch: QuantumChannel, rho: DensityOperator) -> BlockOutput:
     """Sum_k K_k rho K_k^dag on the channel's output layout, one block per
-    block of ch: the kernel _apply_factors over a stack of one state. No
-    out_dim x out_dim array is formed."""
-    out = _apply_factors(ch, rho.matrix[None])
+    block of ch: the kernel _apply_factors on one state. No out_dim x
+    out_dim array is formed."""
     rows = tuple(rows for rows, _, _ in ch.blocks)
-    return BlockOutput(ch.out_layout, rows, tuple(b[0] for b in out))
-
-
-def block_stacks(blocks) -> list[np.ndarray]:
-    """Per-block outputs, each (s, s) or (m, s, s), as one (count, s, s) or
-    (m, count, s, s) stack per block size s, sizes ascending, blocks in
-    channel order."""
-    sizes = [b.shape[-1] for b in blocks]
-    return [
-        np.array([b for b, n in zip(blocks, sizes) if n == s]).swapaxes(0, -3)
-        for s in sorted(set(sizes))
-    ]
+    return BlockOutput(ch.out_layout, rows, tuple(_apply_factors(ch, rho.matrix)))
 
 
 def apply_ensemble(ch: QuantumChannel, ens: CqEnsemble) -> list[np.ndarray]:
-    """The outputs of every state of ens from one call of the kernel, with
-    the checks of a BlockOutput made once per block over all of them, as
-    block_stacks lays them out: one read-only (len(ens.items), count, s, s)
-    stack per block size s."""
+    """The outputs of every state of ens from one call of the kernel, as one
+    read-only (len(ens.items), len(rows), len(rows)) stack per block of ch,
+    with the checks of a BlockOutput made once per block over all of them."""
     out = _apply_factors(ch, np.array([rho.matrix for _, rho in ens.items]))
     _check_outputs(out)
-    stacks = block_stacks(out)
-    for g in stacks:
-        g.setflags(write=False)
-    return stacks
+    return out
 
 
 def complementary(ch: QuantumChannel) -> QuantumChannel:

@@ -50,11 +50,21 @@ class OptimizerConfig:
             raise ValueError("restarts and iterations must be positive")
 
 
+def _block_stacks(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """One channel's (m, s, s) output stacks, one per block, as one (m,
+    count, s, s) stack per block size s, sizes ascending."""
+    sizes = [b.shape[-1] for b in blocks]
+    return [
+        np.array([b for b, n in zip(blocks, sizes) if n == s]).swapaxes(0, 1)
+        for s in sorted(set(sizes))
+    ]
+
+
 def _entropies(stacks: list[np.ndarray]) -> tuple[list[float], float]:
-    """Entropies of the outputs whose blocks `stacks` holds (as
-    channels.block_stacks lays them out), from one eigvalsh per block size
-    over those blocks of every output at once, and the largest distance of
-    an output's spectrum sum from 1."""
+    """Entropies of the outputs whose blocks `stacks` holds (as from
+    _block_stacks), from one eigvalsh per block size over those blocks of
+    every output at once, and the largest distance of an output's spectrum
+    sum from 1."""
     w = np.concatenate([np.linalg.eigvalsh(g).reshape(len(g), -1) for g in stacks], axis=1)
     resid = float(np.max(np.abs(np.sum(w, axis=1) - 1.0)))
     return qcore.spectrum_entropy(w).tolist(), resid
@@ -63,8 +73,8 @@ def _entropies(stacks: list[np.ndarray]) -> tuple[list[float], float]:
 def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult:
     """H(B) - H(E) for the given input."""
     comp = qch.complementary(ch)
-    (hb,), rb = _entropies([g[None] for g in qch.block_stacks(qch.apply(ch, rho).blocks)])
-    (he,), re_ = _entropies([g[None] for g in qch.block_stacks(qch.apply(comp, rho).blocks)])
+    (hb,), rb = _entropies(_block_stacks([b[None] for b in qch.apply(ch, rho).blocks]))
+    (he,), re_ = _entropies(_block_stacks([b[None] for b in qch.apply(comp, rho).blocks]))
     return InfoResult(
         value=hb - he,
         components={"H(B)": hb, "H(E)": he},
@@ -74,7 +84,7 @@ def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult
 
 def _holevo(ch: QuantumChannel, ens: CqEnsemble, side: str) -> InfoResult:
     probs = [p for p, _ in ens.items]
-    stacks = qch.apply_ensemble(ch, ens)
+    stacks = _block_stacks(qch.apply_ensemble(ch, ens))
     # the average output, block by block, summed in ensemble order
     avg = [sum(p * o for p, o in zip(probs, g)) for g in stacks]
     (h_avg, *hs), resid = _entropies([np.concatenate([a[None], g]) for a, g in zip(avg, stacks)])
@@ -624,7 +634,7 @@ def haar_measured_entropy(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = rho.dim
-    (a,), (sign,) = qch.rank_factors(rho.matrix[None])
+    a, sign = qch.rank_factors(rho.matrix)
     a_dag = a.conj().T
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ent = np.empty(samples)

@@ -359,9 +359,11 @@ def test_rank_factors_pad_lower_ranks_with_zero_columns_of_sign_zero():
         assert np.all(np.diff(li[si != 0.0]) > 0)
         np.testing.assert_allclose((ai * si) @ ai.conj().T, rho.matrix, rtol=0, atol=1e-15)
     np.testing.assert_allclose(lam[3], [-1e-12, 0.2 + 1e-12, 0.3, 0.5], rtol=0, atol=1e-15)
-    # one state: its kept pairs only, no padding
+    # one state, with or without a batch axis: its kept pairs only, no padding
     one, one_sign = channels.rank_factors(states[2].matrix[None])
     assert one.shape == (1, 4, 2) and one_sign.tolist() == [[1, 1]]
+    bare, bare_sign = channels.rank_factors(states[2].matrix)
+    assert bare.tobytes() == one.tobytes() and bare_sign.tolist() == [1, 1]
 
 
 @pytest.mark.parametrize(
@@ -379,13 +381,13 @@ def test_apply_ensemble_matches_apply_per_member(make):
     states = _mixed_rank_states(ch.in_layout, np.random.default_rng(32))
     ens = CqEnsemble(tuple((0.25, rho) for rho in states))
     stacks = channels.apply_ensemble(ch, ens)
-    per_member = [channels.block_stacks(apply(ch, rho).blocks) for rho in states]
-    assert [g.shape for g in stacks] == [(4,) + g.shape for g in per_member[0]]
+    per_member = [apply(ch, rho).blocks for rho in states]
+    assert [g.shape for g in stacks] == [(4,) + b.shape for b in per_member[0]]
     for i, blocks in enumerate(per_member):
         for g, b in zip(stacks, blocks):
             np.testing.assert_allclose(g[i], b, rtol=0, atol=1e-15)
     # the -1e-12 eigenvalue keeps its sign, so every trace stays exact
-    traces = sum(np.trace(g, axis1=-2, axis2=-1).sum(axis=1) for g in stacks)
+    traces = sum(np.trace(g, axis1=-2, axis2=-1) for g in stacks)
     np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-15)
     assert not any(g.flags.writeable for g in stacks)
 
