@@ -16,14 +16,15 @@ def fmt9(x) -> str:
 
 def as_fraction(x) -> Fraction:
     """An int, Fraction, "a/b" string or float as a Fraction; a float reads
-    as the decimal it prints as (0.1 is 1/10). Anything else, a bad string
-    and a zero denominator raise ValueError. Standard library only, like
-    fmt9, so the exact lane stays free of numpy."""
+    as the decimal it prints as (0.1 is 1/10). Anything else, a bool (a
+    JSON true is not the number 1), a bad string and a zero denominator
+    raise ValueError. Standard library only, like fmt9, so the exact lane
+    stays free of numpy."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         x = str(x)
-    elif not isinstance(x, (int, str)):
+    elif isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"cannot interpret {x!r} as a rational")
     try:
         return Fraction(x)

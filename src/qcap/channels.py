@@ -17,19 +17,18 @@ the pairwise Kronecker products of blocks. The canonical complement,
 N_c(rho)[i,j] = Tr(K_i rho K_j^dag), is the same blocks with rows and env,
 and the first two axes of kraus, swapped.
 
-One kernel, _apply_factors, applies a channel to one state or to a stack
-of m states, and never forms K rho K^dag operator by operator. It factors
-the input (rank_factors: one eigh, batched over a stack) as rho = sum_j
-s_j a_j a_j^dag over its numerically nonzero eigenpairs (s_j = +-1), so
-each block's output is W diag(s) W^dag of the images W = [K_k a_j]
-stacked side by side: one matmul call per block forms the images of
-every state, and one product every state's block. The work scales with
-the rank of the inputs and the size of the blocks, and both products run
-in BLAS. `apply` is the kernel on one state, with the products of a
-per-state kernel, and returns a BlockOutput, one square matrix per block;
-the dense out_dim x out_dim matrix exists only if something reads it.
-`apply_ensemble` is the kernel on every state of an ensemble at once, and
-returns one (m, s, s) stack per block.
+One kernel, _apply_factors, applies a channel to a stack of m states, and
+never forms K rho K^dag operator by operator. It factors the states
+(rank_factors: one batched eigh) as rho = sum_j s_j a_j a_j^dag over their
+numerically nonzero eigenpairs (s_j = +-1), so each block's output is
+W diag(s) W^dag of the images W = [K_k a_j] stacked side by side: one
+matmul call per block forms the images of every state, and one product
+every state's block. The work scales with the rank of the inputs and the
+size of the blocks, and both products run in BLAS. A channel output has
+one form, the kernel's: one read-only (m, s, s) stack per block of the
+channel, in block order, checked as a DensityOperator would be. `apply`
+is the kernel on one state (m = 1), `apply_ensemble` on every state of an
+ensemble at once; the dense out_dim x out_dim matrix is never formed.
 """
 
 from __future__ import annotations
@@ -126,43 +125,16 @@ class QuantumChannel:
 
 
 def _check_outputs(blocks) -> None:
-    """Raise ValueError unless the outputs held in `blocks` pass the checks
-    a DensityOperator makes: every block Hermitian within TOL_HERMITIAN,
-    and the block traces of each output summing to 1 within TOL_TRACE. A
-    block is one output's (s, s) matrix, or the (m, s, s) stack of that
-    block over m outputs."""
+    """Raise ValueError unless the outputs held in `blocks`, one (m, s, s)
+    stack per block, pass the checks a DensityOperator makes: every block
+    Hermitian within TOL_HERMITIAN, and the block traces of each of the m
+    outputs summing to 1 within TOL_TRACE."""
     herm = float(max((abs(b - b.conj().swapaxes(-1, -2)).max() for b in blocks), default=0.0))
     if herm > TOL_HERMITIAN:
         raise ValueError(f"output block is not Hermitian (deviation {herm:.3e})")
     dev = float(np.max(np.abs(sum(b.trace(axis1=-2, axis2=-1) for b in blocks) - 1.0)))
     if dev > TOL_TRACE:
         raise ValueError(f"output trace deviates from 1 by {dev:.3e}")
-
-
-@dataclass(frozen=True)
-class BlockOutput:
-    """A channel output, block diagonal over the rows of the channel's blocks.
-
-    blocks[i] is the square matrix on output rows rows[i], in the order of
-    the channel's blocks; every entry outside them is zero. The checks a
-    DensityOperator makes hold block by block (_check_outputs). `matrix`
-    is the dense, read-only (dim, dim) operator, built on first access.
-    """
-
-    layout: SystemLayout
-    rows: tuple = field(repr=False)
-    blocks: tuple = field(repr=False)
-
-    def __post_init__(self):
-        _check_outputs(self.blocks)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.layout.total, self.layout.total), dtype=np.complex128)
-        for rows, b in zip(self.rows, self.blocks):
-            m[np.ix_(rows, rows)] = b
-        m.setflags(write=False)
-        return m
 
 
 @dataclass(frozen=True)
@@ -215,57 +187,49 @@ def rank_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply_factors(ch: QuantumChannel, mats: np.ndarray) -> list[np.ndarray]:
-    """The kernel behind apply and apply_ensemble: the output of a state
-    (in_dim, in_dim), or of each of a (m, in_dim, in_dim) stack of states,
-    as one read-only (len(rows), len(rows)) block, or (m, len(rows),
-    len(rows)) stack of blocks, per block of ch, in the order of its blocks.
+    """The kernel behind apply and apply_ensemble: the outputs of a (m,
+    in_dim, in_dim) stack of states, as one read-only (m, len(rows),
+    len(rows)) stack per block of ch, in the order of its blocks, checked
+    by _check_outputs.
 
     With mats factored by rank_factors into a diag(s) a^dag, the images
     W[r, (k, j)] = (K_k a_j)[r] of every state come from one matmul call per
-    block, and W diag(s) W^dag, the state's block on those rows, from one
-    (batched) product. For one state there is no padding and no batch axis,
-    so apply issues the BLAS products of the per-state kernel that this one
-    replaced, and its outputs are bit for bit what they were.
+    block, and W diag(s) W^dag, every state's block on those rows, from one
+    batched product. A stack of one state is not padded, and its blocks are
+    bit for bit those of the per-state kernel that this one replaced.
     """
     if mats.shape[-1] != ch.in_dim:
         raise ValueError(
             f"state dimension {mats.shape[-1]} does not match channel input {ch.in_dim}"
         )
     a, sign = rank_factors(mats)
-    m = len(a) if a.ndim == 3 else None  # None: one state, no batch axis
-    if m is not None:
-        a, sign = a[:, None], sign[:, None, None, :]
+    m = len(a)
+    a, sign = a[:, None], sign[:, None, None, :]
     out = []
     for rows, _, k in ch.blocks:
         # one small GEMM per state and output row over the strided view K[:, row, :]
-        w = np.matmul(k.swapaxes(0, 1), a)  # ([m,] rows, env, rank)
+        w = np.matmul(k.swapaxes(0, 1), a)  # (m, rows, env, rank)
         ws = w.conj()
         ws *= sign
         n = len(rows)
-        if m is None:
-            block = w.reshape(n, -1) @ ws.reshape(n, -1).T
-        else:
-            block = w.reshape(m, n, -1) @ ws.reshape(m, n, -1).swapaxes(1, 2)
+        block = w.reshape(m, n, -1) @ ws.reshape(m, n, -1).swapaxes(1, 2)
         block.setflags(write=False)
         out.append(block)
+    _check_outputs(out)
     return out
 
 
-def apply(ch: QuantumChannel, rho: DensityOperator) -> BlockOutput:
-    """Sum_k K_k rho K_k^dag on the channel's output layout, one block per
-    block of ch: the kernel _apply_factors on one state. No out_dim x
-    out_dim array is formed."""
-    rows = tuple(rows for rows, _, _ in ch.blocks)
-    return BlockOutput(ch.out_layout, rows, tuple(_apply_factors(ch, rho.matrix)))
+def apply(ch: QuantumChannel, rho: DensityOperator) -> list[np.ndarray]:
+    """Sum_k K_k rho K_k^dag, block diagonal over the rows of ch's blocks:
+    the kernel _apply_factors on one state, so one read-only (1, len(rows),
+    len(rows)) stack per block of ch. No out_dim x out_dim array is formed."""
+    return _apply_factors(ch, rho.matrix[None])
 
 
 def apply_ensemble(ch: QuantumChannel, ens: CqEnsemble) -> list[np.ndarray]:
     """The outputs of every state of ens from one call of the kernel, as one
-    read-only (len(ens.items), len(rows), len(rows)) stack per block of ch,
-    with the checks of a BlockOutput made once per block over all of them."""
-    out = _apply_factors(ch, np.array([rho.matrix for _, rho in ens.items]))
-    _check_outputs(out)
-    return out
+    read-only (len(ens.items), len(rows), len(rows)) stack per block of ch."""
+    return _apply_factors(ch, np.array([rho.matrix for _, rho in ens.items]))
 
 
 def complementary(ch: QuantumChannel) -> QuantumChannel:

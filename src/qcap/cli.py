@@ -144,10 +144,10 @@ def _load_channel(path: str):
 
 def _state_from_obj(obj, path: str):
     from . import qcore
-    from .channels import ChannelSpecError, _matrix_from_json
+    from .channels import ChannelSpecError, _dim_from_json, _matrix_from_json
 
     try:
-        dims = tuple(int(d) for d in obj["layout"])
+        dims = tuple(_dim_from_json(d) for d in obj["layout"])
         matrix = _matrix_from_json(obj["matrix"])
         return qcore.DensityOperator(qcore.SystemLayout(dims), matrix)
     except ChannelSpecError as exc:

@@ -73,8 +73,8 @@ def _entropies(stacks: list[np.ndarray]) -> tuple[list[float], float]:
 def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult:
     """H(B) - H(E) for the given input."""
     comp = qch.complementary(ch)
-    (hb,), rb = _entropies(_block_stacks([b[None] for b in qch.apply(ch, rho).blocks]))
-    (he,), re_ = _entropies(_block_stacks([b[None] for b in qch.apply(comp, rho).blocks]))
+    (hb,), rb = _entropies(_block_stacks(qch.apply(ch, rho)))
+    (he,), re_ = _entropies(_block_stacks(qch.apply(comp, rho)))
     return InfoResult(
         value=hb - he,
         components={"H(B)": hb, "H(E)": he},
@@ -395,85 +395,21 @@ def brute_force_c1(ch: QuantumChannel, cfg: OptimizerConfig = OptimizerConfig())
 
 
 # ---------------------------------------------------------------------------
-# witness state and its coherent information
-
-
-@dataclass(frozen=True)
-class WitnessLayout:
-    """Register documentation for the j-use witness input."""
-
-    registers: tuple[tuple[str, int], ...]
-    pinned_flags: tuple[int, ...]
-    paired_rockets: int
-
-
-def witness_state(n: int, d: int, j: int) -> tuple[DensityOperator, WitnessLayout]:
-    """Channel-input reduction of the j-use interleaving state.
-
-    Use 1 selects the rocket bank (flag 0), uses 2..j the erasure branch
-    (flag 1). Rocket k's first input carries half of a maximally entangled
-    pair whose partner is kept as a reference (so it enters here maximally
-    mixed); its second input is maximally entangled with the erasure data
-    register of use k+1. Only min(n, j-1) rockets can be paired; every
-    remaining input is the fixed pure state |0>.
-    """
-    if j < 2 or n < 1 or d < 2:
-        raise ValueError(f"witness needs j >= 2, n >= 1, d >= 2; got n={n} d={d} j={j}")
-    pad_dim = d ** (2 * n - 1)
-    total = (2 * d ** (2 * n)) ** j
-    qcore.check_dim(total, "witness state")
-    m = min(n, j - 1)
-
-    names: list[str] = []
-    factors: list[DensityOperator] = []
-
-    def add(name_list, rho):
-        start = len(names)
-        names.extend(name_list)
-        factors.append(rho)
-        return start
-
-    add(["use1.flag"], qcore.basis_state(2, 0).to_density())
-    for k in range(1, n + 1):
-        if k <= m:
-            add([f"use1.rocket{k}.a1"], qcore.max_mixed(d))
-            add(
-                [f"use1.rocket{k}.a2", f"use{k + 1}.data"],
-                qcore.max_entangled(d).to_density(),
-            )
-        else:
-            add([f"use1.rocket{k}.a1"], qcore.basis_state(d, 0).to_density())
-            add([f"use1.rocket{k}.a2"], qcore.basis_state(d, 0).to_density())
-    for u in range(2, j + 1):
-        add([f"use{u}.flag"], qcore.basis_state(2, 1).to_density())
-        if u - 1 > m:
-            add([f"use{u}.data"], qcore.basis_state(d, 0).to_density())
-        add([f"use{u}.pad"], qcore.basis_state(pad_dim, 0).to_density())
-
-    rho = qcore.tensor_all(*factors)
-
-    canonical = ["use1.flag"]
-    for k in range(1, n + 1):
-        canonical += [f"use1.rocket{k}.a1", f"use1.rocket{k}.a2"]
-    for u in range(2, j + 1):
-        canonical += [f"use{u}.flag", f"use{u}.data", f"use{u}.pad"]
-    perm = [names.index(nm) for nm in canonical]
-    rho = qcore.permute_systems(rho, perm)
-
-    dims = dict(zip(canonical, rho.layout.dims))
-    layout_doc = WitnessLayout(
-        registers=tuple((nm, dims[nm]) for nm in canonical),
-        pinned_flags=(0,) + (1,) * (j - 1),
-        paired_rockets=m,
-    )
-    return rho, layout_doc
+# the multi-use witness
 
 
 def witness_coherent_info(
     n: int, p, d: int, j: int, ensemble: str = "pauli"
 ) -> InfoResult:
-    """Coherent information of witness_state(n, d, j) through j uses of
-    main_channel(n, p, d), evaluated with the flags pinned.
+    """Coherent information of the j-use interleaving input through j uses
+    of main_channel(n, p, d), evaluated with the flags pinned.
+
+    Use 1 selects the rocket bank (flag 0), uses 2..j the erasure branch
+    (flag 1). Rocket k's first input carries half of a maximally entangled
+    pair whose partner is kept as a reference (so it enters maximally
+    mixed); its second input is maximally entangled with the erasure data
+    register of use k+1. Only min(n, j-1) rockets can be paired; every
+    remaining input is the fixed pure state |0>.
 
     With the flags pinned the switch acts as its selected component and the
     input factorizes over independent register groups (each paired rocket

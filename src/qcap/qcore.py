@@ -182,13 +182,6 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator(lay, np.kron(a.matrix, b.matrix), check_psd=False)
 
 
-def tensor_all(*ops: DensityOperator) -> DensityOperator:
-    out = ops[0]
-    for op in ops[1:]:
-        out = tensor(out, op)
-    return out
-
-
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out every subsystem not in `keep`; kept dims stay in order."""
     dims = rho.layout.dims
@@ -209,19 +202,6 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     for d in kept_dims:
         total *= d
     return DensityOperator(SystemLayout(kept_dims), a.reshape(total, total), check_psd=False)
-
-
-def permute_systems(rho: DensityOperator, perm) -> DensityOperator:
-    """Reorder subsystems: position i of the result holds subsystem perm[i]."""
-    dims = rho.layout.dims
-    n = len(dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    a = rho.matrix.reshape(dims + dims)
-    a = np.transpose(a, perm + tuple(p + n for p in perm))
-    new_dims = tuple(dims[p] for p in perm)
-    return DensityOperator(SystemLayout(new_dims), a.reshape(rho.dim, rho.dim), check_psd=False)
 
 
 def spectrum_entropy(w):

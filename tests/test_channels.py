@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qcap import as_fraction, channels, infoquant, qcore
 from qcap.channels import (
-    BlockOutput,
     ChannelSpecError,
     CqEnsemble,
     QuantumChannel,
@@ -51,9 +50,18 @@ def _loop_complement(ch, m):
     return images @ ch.kraus.reshape(ch.n_kraus, -1).conj().T
 
 
-def _dense(out):
-    """A channel output as a DensityOperator, for the qcore helpers."""
-    return qcore.DensityOperator(out.layout, out.matrix, check_psd=False)
+def _output(ch, rho):
+    """apply(ch, rho) as the dense (out_dim, out_dim) matrix: each block's
+    (1, s, s) stack put on the output rows of ch's block, zero elsewhere."""
+    m = np.zeros((ch.out_dim, ch.out_dim), dtype=np.complex128)
+    for (rows, _, _), b in zip(ch.blocks, apply(ch, rho)):
+        m[np.ix_(rows, rows)] = b[0]
+    return m
+
+
+def _dense(ch, rho):
+    """apply(ch, rho) as a DensityOperator, for the qcore helpers."""
+    return qcore.DensityOperator(ch.out_layout, _output(ch, rho), check_psd=False)
 
 
 def _inputs(layout, rng):
@@ -84,7 +92,7 @@ def test_as_fraction_forms():
     assert as_fraction(0.1) == Fraction(1, 10)  # the decimal it prints as
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
     # plain ValueError; spec_to_channel is what turns it into ChannelSpecError
-    for bad in ("eleven", "1/0", None, [1, 4]):
+    for bad in ("eleven", "1/0", None, [1, 4], True, False):
         with pytest.raises(ValueError) as exc:
             as_fraction(bad)
         assert exc.type is ValueError
@@ -105,16 +113,16 @@ def test_erasure_channel_structure():
 def test_erasure_action():
     p = Fraction(1, 3)
     ch = erasure_channel(p, 2)
-    out = apply(ch, qcore.basis_state(2, 0).to_density())
+    out = _output(ch, qcore.basis_state(2, 0).to_density())
     expect = np.diag([2 / 3, 0, 1 / 3]).astype(complex)
-    np.testing.assert_allclose(out.matrix, expect, atol=1e-12)
+    np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_identity_channel_is_identity():
     rng = np.random.default_rng(0)
     rho = qcore.random_density((3,), rng)
-    out = apply(identity_channel(3), rho)
-    np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
+    out = _output(identity_channel(3), rho)
+    np.testing.assert_allclose(out, rho.matrix, atol=1e-12)
 
 
 def test_complementary_is_cptp_and_dual():
@@ -125,7 +133,7 @@ def test_complementary_is_cptp_and_dual():
     # complementing twice restores the original action
     back = complementary(comp)
     rho = qcore.max_mixed(2)
-    np.testing.assert_allclose(apply(back, rho).matrix, apply(ch, rho).matrix, atol=1e-12)
+    np.testing.assert_allclose(_output(back, rho), _output(ch, rho), atol=1e-12)
 
 
 def test_complement_matches_dilation_marginals():
@@ -138,11 +146,11 @@ def test_complement_matches_dilation_marginals():
     lay = qcore.SystemLayout((ch.n_kraus, ch.out_dim))
     joint = qcore.DensityOperator(lay, big, check_psd=False)
     np.testing.assert_allclose(
-        qcore.partial_trace(joint, [1]).matrix, apply(ch, rho).matrix, atol=1e-10
+        qcore.partial_trace(joint, [1]).matrix, _output(ch, rho), atol=1e-10
     )
     np.testing.assert_allclose(
         qcore.partial_trace(joint, [0]).matrix,
-        apply(complementary(ch), rho).matrix,
+        _output(complementary(ch), rho),
         atol=1e-10,
     )
 
@@ -175,10 +183,9 @@ def test_rocket_identity_ensemble_action():
     ch = rocket_channel(2, "identity")
     plus = np.array([1, 1, 1, 1], dtype=complex) / 2
     rho = qcore.PureState(qcore.SystemLayout((2, 2)), plus).to_density()
-    out = apply(ch, rho)
     # dephasing kills the off-diagonals linking distinct first-register values
     np.testing.assert_allclose(
-        qcore.partial_trace(_dense(out), [1]).matrix, np.eye(2) / 2, atol=1e-12
+        qcore.partial_trace(_dense(ch, rho), [1]).matrix, np.eye(2) / 2, atol=1e-12
     )
 
 
@@ -207,14 +214,14 @@ def test_switch_acts_as_selected_component():
     data = qcore.random_density((2,), rng)
     for c, comp in enumerate((a, b)):
         pinned = qcore.tensor(qcore.basis_state(2, c).to_density(), data)
-        out = apply(sw, pinned)
+        out = _output(sw, pinned)
         # the component output sits in block c of the enlarged output space
-        block = out.matrix[
+        block = out[
             c * comp.out_dim : (c + 1) * comp.out_dim,
             c * comp.out_dim : (c + 1) * comp.out_dim,
         ]
-        np.testing.assert_allclose(block, apply(comp, data).matrix, atol=1e-10)
-        off = out.matrix.copy()
+        np.testing.assert_allclose(block, _output(comp, data), atol=1e-10)
+        off = out.copy()
         off[c * comp.out_dim : (c + 1) * comp.out_dim,
             c * comp.out_dim : (c + 1) * comp.out_dim] = 0
         assert np.max(np.abs(off)) < 1e-12
@@ -231,8 +238,8 @@ def test_tensor_channels_compose():
     ra = qcore.random_density((2,), rng)
     rb = qcore.random_density((3,), rng)
     np.testing.assert_allclose(
-        apply(ab, qcore.tensor(ra, rb)).matrix,
-        qcore.tensor(_dense(apply(a, ra)), _dense(apply(b, rb))).matrix,
+        _output(ab, qcore.tensor(ra, rb)),
+        qcore.tensor(_dense(a, ra), _dense(b, rb)).matrix,
         atol=1e-10,
     )
     sq = tensor_power(a, 2)
@@ -246,7 +253,7 @@ def test_padded_erasure_fully_erases_pad():
     _assert_cptp(ch)
     rng = np.random.default_rng(6)
     rho = qcore.random_density((2, 2), rng)
-    pad_out = qcore.partial_trace(_dense(apply(ch, rho)), [1])
+    pad_out = qcore.partial_trace(_dense(ch, rho), [1])
     # everything lands on the erasure flag regardless of input
     np.testing.assert_allclose(pad_out.matrix, np.diag([0, 0, 1.0]), atol=1e-10)
 
@@ -255,16 +262,16 @@ def test_apply_returns_one_block_per_channel_block():
     ch = main_channel(1, Fraction(1, 4), 3)
     rho = qcore.random_density(ch.in_layout, np.random.default_rng(8), rank=3)
     out = apply(ch, rho)
-    assert "matrix" not in out.__dict__
-    assert [len(r) for r in out.rows] == [len(rows) for rows, _, _ in ch.blocks]
-    assert [b.shape for b in out.blocks] == [(len(r), len(r)) for r in out.rows]
-    assert not any(b.flags.writeable for b in out.blocks)
-    dense = out.matrix
-    assert dense.shape == (ch.out_dim, ch.out_dim) and not dense.flags.writeable
-    for rows, b in zip(out.rows, out.blocks):
-        np.testing.assert_array_equal(dense[np.ix_(rows, rows)], b)
-    # every entry outside the blocks is zero
-    assert np.count_nonzero(dense) <= sum(b.size for b in out.blocks)
+    assert [b.shape for b in out] == [(1, len(rows), len(rows)) for rows, _, _ in ch.blocks]
+    assert not any(b.flags.writeable for b in out)
+    # the blocks are the Kraus sum on their rows, and every entry outside
+    # them is zero in it
+    loop = _loop_apply(ch, rho.matrix)
+    inside = np.zeros(loop.shape, dtype=bool)
+    for (rows, _, _), b in zip(ch.blocks, out):
+        np.testing.assert_allclose(b[0], loop[np.ix_(rows, rows)], rtol=0, atol=1e-12)
+        inside[np.ix_(rows, rows)] = True
+    assert not np.any(loop[~inside])
 
 
 @pytest.mark.parametrize("block", [0, -2])
@@ -272,22 +279,29 @@ def test_block_output_checks_hermiticity_and_trace_per_block(block):
     # main_channel(1, 1/4, 2): the first rocket label block, and the
     # erasure's data-sent block
     ch = main_channel(1, Fraction(1, 4), 2)
-    out = apply(ch, qcore.random_density(ch.in_layout, np.random.default_rng(9)))
-    BlockOutput(out.layout, out.rows, out.blocks)  # the output itself passes
+    rho = qcore.random_density(ch.in_layout, np.random.default_rng(9))
+    out = apply(ch, rho)
+    channels._check_outputs(out)  # the output itself passes
 
     def with_block(b):
-        blocks = list(out.blocks)
+        blocks = list(out)
         blocks[block] = b
-        return BlockOutput(out.layout, out.rows, tuple(blocks))
+        channels._check_outputs(blocks)
 
-    skew = np.array(out.blocks[block])
-    skew[0, 1] += 1e-8
+    skew = np.array(out[block])
+    skew[0, 0, 1] += 1e-8
     with pytest.raises(ValueError, match="not Hermitian"):
         with_block(skew)
-    heavy = np.array(out.blocks[block])
-    heavy[0, 0] += 1e-8
+    heavy = np.array(out[block])
+    heavy[0, 0, 0] += 1e-8
     with pytest.raises(ValueError, match="trace deviates"):
         with_block(heavy)
+    # apply makes the check itself: a Kraus family 4e-10 off trace
+    # preserving, which construction admits
+    leaky = QuantumChannel(ch.in_layout, ch.out_layout, ch.env_layout,
+                           tuple((r, e, k * np.sqrt(1 + 4e-10)) for r, e, k in ch.blocks))
+    with pytest.raises(ValueError, match="output trace deviates from 1 by 4.000e-10"):
+        apply(leaky, rho)
 
 
 def _apply_one_state(ch, rho):
@@ -327,7 +341,7 @@ def _dense_switch_cases():
 )
 def test_apply_is_bit_identical_to_the_per_state_kernel(case):
     ch, rho = _dense_switch_cases()[case]
-    got = apply(ch, rho).blocks
+    got = [g[0] for g in apply(ch, rho)]
     want = _apply_one_state(ch, rho)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -381,7 +395,7 @@ def test_apply_ensemble_matches_apply_per_member(make):
     states = _mixed_rank_states(ch.in_layout, np.random.default_rng(32))
     ens = CqEnsemble(tuple((0.25, rho) for rho in states))
     stacks = channels.apply_ensemble(ch, ens)
-    per_member = [apply(ch, rho).blocks for rho in states]
+    per_member = [[b[0] for b in apply(ch, rho)] for rho in states]
     assert [g.shape for g in stacks] == [(4,) + b.shape for b in per_member[0]]
     for i, blocks in enumerate(per_member):
         for g, b in zip(stacks, blocks):
@@ -594,10 +608,10 @@ def test_apply_matches_kraus_loop(make):
     comp = complementary(ch)
     for rho in _inputs(ch.in_layout, rng):
         np.testing.assert_allclose(
-            apply(ch, rho).matrix, _loop_apply(ch, rho.matrix), rtol=0, atol=1e-12
+            _output(ch, rho), _loop_apply(ch, rho.matrix), rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            apply(comp, rho).matrix, _loop_complement(ch, rho.matrix), rtol=0, atol=1e-12
+            _output(comp, rho), _loop_complement(ch, rho.matrix), rtol=0, atol=1e-12
         )
 
 
@@ -701,9 +715,9 @@ def test_flag_pinned_switch_equals_its_component(pa, pb, c, seed):
     rng = np.random.default_rng(seed)
     for data in (qcore.random_density((2,), rng), qcore.random_pure((2,), rng).to_density()):
         pinned = qcore.tensor(qcore.basis_state(2, c).to_density(), data)
-        out = apply(sw, pinned).matrix
+        out = _output(sw, pinned)
         rows = slice(c * comp.out_dim, (c + 1) * comp.out_dim)
-        np.testing.assert_allclose(out[rows, rows], apply(comp, data).matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[rows, rows], _output(comp, data), rtol=0, atol=1e-12)
         rest = out.copy()
         rest[rows, rows] = 0
         assert np.max(np.abs(rest)) < 1e-12

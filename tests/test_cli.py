@@ -172,6 +172,32 @@ def test_malformed_channel_spec_exits_65(capsys, tmp_path, spec):
     assert err.startswith("qcap: error: ") and "Traceback" not in err
 
 
+_ONE = {"layout": [1], "matrix": [[[1, 0]]]}
+_HALF = {"layout": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+
+
+# each of these once ran: a dimension read with int() (2.7 as 2, true as 1),
+# a JSON true read as the number 1
+@pytest.mark.parametrize(
+    "channel, state",
+    [
+        ({"kind": "identity", "d": 2}, dict(_HALF, layout=[2.7])),
+        ({"kind": "identity", "d": 2}, dict(_HALF, layout=[True, 2])),
+        ({"kind": "erasure", "p": True, "d": 2}, _HALF),
+        ({"kind": "identity", "d": True}, _ONE),
+    ],
+    ids=["layout-fraction", "layout-true", "p-true", "d-true"],
+)
+def test_non_integer_dimension_or_boolean_field_exits_65(capsys, tmp_path, channel, state):
+    chan = write_channel(tmp_path, channel)
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    code, out, err = run(capsys, "info", "coherent", "--channel", chan,
+                         "--state", str(tmp_path / "state.json"))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("qcap: error: ") and "Traceback" not in err
+
+
 def test_deeply_nested_tensor_loads(capsys, tmp_path):
     # a single-factor tensor is its factor, so the nest is the identity on C^2
     spec = {"kind": "identity", "d": 2}

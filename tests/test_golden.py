@@ -26,7 +26,12 @@ erasure(3/10) x erasure(7/10) and for lemma1's switch of erasure(1/10)
 and erasure(2/5), each on an ensemble of a pure, a full-rank and a rank-2
 member (channel and ensemble JSON alongside), were recorded while
 `apply` still took one ensemble member at a time, before members of
-unequal rank went through one batched kernel with zero padding.
+unequal rank went through one batched kernel with zero padding. The
+`info coherent` file for main_channel(1, 1/4, 3) on a seeded rank-2 input
+that weighs both flag values about equally (channel and state JSON
+alongside) reaches the rocket blocks and their complement; it was recorded
+while `apply` still returned its own output object, built by a
+single-state branch of the kernel.
 """
 
 import json
@@ -61,6 +66,12 @@ CASES = [
     )
     for channel, ensemble in (("erasure_3-10_x_erasure_7-10", "a"), ("lemma1_switch", "b"))
     for quantity in ("holevo", "private")
+] + [
+    (
+        "info_coherent_main_n1_p1-4_d3_rank2.txt",
+        ["info", "coherent", "--channel", str(GOLDEN / "channel_main_n1_p1-4_d3.json"),
+         "--state", str(GOLDEN / "state_main_n1_p1-4_d3_rank2.json")],
+    ),
 ]
 
 

@@ -124,6 +124,17 @@ def test_pauli_rocket_leaks_log2d_to_bob(d):
     assert (bits > 2) == (d >= 5)
 
 
+@pytest.mark.parametrize("ensemble", ["identity", "pauli"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_named_rockets_are_noiseless_quantum_channels_on_their_first_input(d, ensemble):
+    # With the second input at |0>, V_r|0> is a basis state up to phase, so
+    # the dephasing acts on the first input as a fixed Z^j that Bob undoes
+    # from the label: the leak is a whole quantum channel, I_c = log2 d.
+    rho = qcore.tensor(max_mixed(d), basis_state(d, 0).to_density())
+    res = iq.coherent_information(rocket_channel(d, ensemble), rho)
+    assert res.value == pytest.approx(math.log2(d), abs=1e-9)
+
+
 def test_brute_force_deterministic():
     ch = erasure_channel(Fraction(1, 4), 2)
     cfg = iq.OptimizerConfig(restarts=3, iterations=150, seed=5)

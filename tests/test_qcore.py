@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import permute_systems, tensor_all
 from qcap import qcore
 from qcap.qcore import (
     DensityOperator,
@@ -16,9 +17,7 @@ from qcap.qcore import (
     max_entangled,
     max_mixed,
     partial_trace,
-    permute_systems,
     tensor,
-    tensor_all,
     von_neumann_entropy,
 )
 

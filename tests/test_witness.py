@@ -12,16 +12,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_oracle import tensor_all, witness_state
 from qcap import infoquant as iq
 from qcap import qcore
-from qcap.channels import apply, main_channel, rocket_channel, tensor_power
+from qcap.channels import main_channel, rocket_channel, tensor_power
 from qcap.qcore import partial_trace
 
 P = Fraction(1, 4)
 
 
 def test_witness_state_registers():
-    rho, doc = iq.witness_state(1, 2, 2)
+    rho, doc = witness_state(1, 2, 2)
     assert rho.layout.dims == (2, 2, 2, 2, 2, 2)
     assert [name for name, _ in doc.registers] == [
         "use1.flag",
@@ -37,7 +38,7 @@ def test_witness_state_registers():
 
 
 def test_witness_state_marginals():
-    rho, _ = iq.witness_state(1, 2, 2)
+    rho, _ = witness_state(1, 2, 2)
     # flags are pinned deterministically
     np.testing.assert_allclose(
         partial_trace(rho, [0]).matrix, np.diag([1.0, 0.0]), atol=1e-12
@@ -57,7 +58,7 @@ def test_witness_state_marginals():
 
 
 def test_witness_state_unpaired_inputs_are_pure():
-    rho, doc = iq.witness_state(1, 2, 3)
+    rho, doc = witness_state(1, 2, 3)
     assert doc.paired_rockets == 1
     names = [name for name, _ in doc.registers]
     idx = names.index("use3.data")
@@ -67,11 +68,11 @@ def test_witness_state_unpaired_inputs_are_pure():
 
 def test_witness_state_validates_arguments():
     with pytest.raises(ValueError):
-        iq.witness_state(0, 2, 2)
+        witness_state(0, 2, 2)
     with pytest.raises(ValueError):
-        iq.witness_state(1, 2, 1)
+        witness_state(1, 2, 1)
     with pytest.raises(qcore.DimensionCapError):
-        iq.witness_state(2, 2, 3)  # (2 * 2^4)^3 = 32768 exceeds the cap
+        witness_state(2, 2, 3)  # (2 * 2^4)^3 = 32768 exceeds the cap
 
 
 @pytest.mark.parametrize("ensemble", ["identity", "pauli"])
@@ -79,7 +80,7 @@ def test_factored_matches_dense_two_uses(ensemble):
     # two whole uses of the switch, no flag pinned by the evaluation; the
     # Pauli case has 4096-dimensional outputs and 324 blocks
     dense_ch = tensor_power(main_channel(1, P, 2, ensemble=ensemble), 2)
-    rho, _ = iq.witness_state(1, 2, 2)
+    rho, _ = witness_state(1, 2, 2)
     dense = iq.coherent_information(dense_ch, rho)
     fact = iq.witness_coherent_info(1, P, 2, 2, ensemble=ensemble)
     assert fact.value == pytest.approx(dense.value, abs=1e-9)
@@ -110,7 +111,7 @@ def test_main_channel_with_two_rockets_at_desk_scale():
     # operators; flag |1>, data I/2 and pad |0> gets the erasure's rate
     ch = main_channel(2, P, 2)
     assert (ch.in_dim, ch.out_dim, ch.n_kraus) == (32, 2048, 1048)
-    rho = qcore.tensor_all(
+    rho = tensor_all(
         qcore.basis_state(2, 1).to_density(),
         qcore.max_mixed(2),
         qcore.basis_state((2, 2, 2), 0).to_density(),
