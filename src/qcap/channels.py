@@ -17,18 +17,21 @@ the pairwise Kronecker products of blocks. The canonical complement,
 N_c(rho)[i,j] = Tr(K_i rho K_j^dag), is the same blocks with rows and env,
 and the first two axes of kraus, swapped.
 
-One kernel, _apply_factors, applies a channel to a stack of m states, and
-never forms K rho K^dag operator by operator. It factors the states
-(rank_factors: one batched eigh) as rho = sum_j s_j a_j a_j^dag over their
+One kernel, _apply_factors, applies a family of g channels that share one
+block layout (rows, env indices and Kraus block shapes) to m states each,
+and never forms K rho K^dag operator by operator. It factors every state
+(rank_factors: one batched eigh) as rho = sum_j s_j a_j a_j^dag over its
 numerically nonzero eigenpairs (s_j = +-1), so each block's output is
 W diag(s) W^dag of the images W = [K_k a_j] stacked side by side: one
-matmul call per block forms the images of every state, and one product
-every state's block. The work scales with the rank of the inputs and the
-size of the blocks, and both products run in BLAS. A channel output has
-one form, the kernel's: one read-only (m, s, s) stack per block of the
-channel, in block order, checked as a DensityOperator would be. `apply`
-is the kernel on one state (m = 1), `apply_ensemble` on every state of an
-ensemble at once; the dense out_dim x out_dim matrix is never formed.
+matmul call per block forms the images of every state under the stacked
+Kraus blocks, and one product every state's block. The work scales with
+the rank of the inputs and the size of the blocks, and both products run
+in BLAS. A channel output has one form, the kernel's: one read-only
+(g, m, s, s) stack per block, in block order, checked as a DensityOperator
+would be. `apply` and `apply_ensemble` are the family of one channel;
+verify's lemma3 makes one call per layout for all its sampled channels
+(infoquant.holevo_bob_family). The dense out_dim x out_dim matrix is
+never formed.
 """
 
 from __future__ import annotations
@@ -168,8 +171,8 @@ class CqEnsemble:
 
 
 def rank_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors (a, s) of a Hermitian (d, d) matrix, or of each of a (m, d,
-    d) stack of them, with mats[..., :, :] = a diag(s) a^dag.
+    """Factors (a, s) of a Hermitian (d, d) matrix, or of each matrix of a
+    (..., d, d) stack of them, with mats[..., :, :] = a diag(s) a^dag.
 
     The columns of a are sqrt|lam_j| v_j over the eigenpairs above the
     matrix_rank cut (|lam| > max|lam| * d * eps), in ascending order, and
@@ -186,33 +189,43 @@ def rank_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs[..., cols] * np.sqrt(np.abs(lam))[..., None, :], np.sign(lam)
 
 
-def _apply_factors(ch: QuantumChannel, mats: np.ndarray) -> list[np.ndarray]:
-    """The kernel behind apply and apply_ensemble: the outputs of a (m,
-    in_dim, in_dim) stack of states, as one read-only (m, len(rows),
-    len(rows)) stack per block of ch, in the order of its blocks, checked
-    by _check_outputs.
+def _layout(ch: QuantumChannel) -> tuple:
+    """The block layout of ch: its blocks' rows, env indices and Kraus
+    shapes, as a hashable key."""
+    return tuple((rows.tobytes(), env.tobytes(), k.shape) for rows, env, k in ch.blocks)
 
-    With mats factored by rank_factors into a diag(s) a^dag, the images
-    W[r, (k, j)] = (K_k a_j)[r] of every state come from one matmul call per
-    block, and W diag(s) W^dag, every state's block on those rows, from one
-    batched product. A stack of one state is not padded, and its blocks are
-    bit for bit those of the per-state kernel that this one replaced.
+
+def _apply_factors(family, mats: np.ndarray) -> list[np.ndarray]:
+    """The outputs of a family of g channels of one block layout (else
+    ValueError), channel i on the states mats[i] of a (g, m, in_dim, in_dim)
+    stack, as one read-only (g, m, len(rows), len(rows)) stack per block, in
+    block order, checked by _check_outputs.
+
+    With every state factored by rank_factors into a diag(s) a^dag, the
+    images W[r, (k, j)] = (K_k a_j)[r] come from one matmul call per block
+    over the family's stacked Kraus blocks (a family of one is not copied),
+    and W diag(s) W^dag, every state's block, from one batched product.
     """
+    ch = family[0]
     if mats.shape[-1] != ch.in_dim:
         raise ValueError(
             f"state dimension {mats.shape[-1]} does not match channel input {ch.in_dim}"
         )
+    if len(family) > 1 and len({_layout(c) for c in family}) > 1:
+        raise ValueError("the channels of a family must share one block layout")
     a, sign = rank_factors(mats)
-    m = len(a)
-    a, sign = a[:, None], sign[:, None, None, :]
+    g, m = a.shape[:2]
+    a, sign = a[:, :, None], sign[:, :, None, None, :]
     out = []
-    for rows, _, k in ch.blocks:
+    for i, (rows, _, k) in enumerate(ch.blocks):
+        if len(family) > 1:
+            k = np.stack([c.blocks[i][2] for c in family])[:, None]
         # one small GEMM per state and output row over the strided view K[:, row, :]
-        w = np.matmul(k.swapaxes(0, 1), a)  # (m, rows, env, rank)
+        w = np.matmul(k.swapaxes(-3, -2), a)  # (g, m, rows, env, rank)
         ws = w.conj()
         ws *= sign
         n = len(rows)
-        block = w.reshape(m, n, -1) @ ws.reshape(m, n, -1).swapaxes(1, 2)
+        block = w.reshape(g, m, n, -1) @ ws.reshape(g, m, n, -1).swapaxes(-1, -2)
         block.setflags(write=False)
         out.append(block)
     _check_outputs(out)
@@ -221,15 +234,15 @@ def _apply_factors(ch: QuantumChannel, mats: np.ndarray) -> list[np.ndarray]:
 
 def apply(ch: QuantumChannel, rho: DensityOperator) -> list[np.ndarray]:
     """Sum_k K_k rho K_k^dag, block diagonal over the rows of ch's blocks:
-    the kernel _apply_factors on one state, so one read-only (1, len(rows),
-    len(rows)) stack per block of ch. No out_dim x out_dim array is formed."""
-    return _apply_factors(ch, rho.matrix[None])
+    the kernel _apply_factors on one channel and one state, so one
+    read-only (1, len(rows), len(rows)) stack per block of ch."""
+    return [b[0] for b in _apply_factors([ch], rho.matrix[None, None])]
 
 
 def apply_ensemble(ch: QuantumChannel, ens: CqEnsemble) -> list[np.ndarray]:
     """The outputs of every state of ens from one call of the kernel, as one
     read-only (len(ens.items), len(rows), len(rows)) stack per block of ch."""
-    return _apply_factors(ch, np.array([rho.matrix for _, rho in ens.items]))
+    return [b[0] for b in _apply_factors([ch], np.array([[rho.matrix for _, rho in ens.items]]))]
 
 
 def complementary(ch: QuantumChannel) -> QuantumChannel:

@@ -51,11 +51,11 @@ class OptimizerConfig:
 
 
 def _block_stacks(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """One channel's (m, s, s) output stacks, one per block, as one (m,
-    count, s, s) stack per block size s, sizes ascending."""
+    """Output stacks (..., s, s), one per block, as one (..., count, s, s)
+    stack per block size s, sizes ascending."""
     sizes = [b.shape[-1] for b in blocks]
     return [
-        np.array([b for b, n in zip(blocks, sizes) if n == s]).swapaxes(0, 1)
+        np.moveaxis(np.array([b for b, n in zip(blocks, sizes) if n == s]), 0, -3)
         for s in sorted(set(sizes))
     ]
 
@@ -82,15 +82,28 @@ def coherent_information(ch: QuantumChannel, rho: DensityOperator) -> InfoResult
     )
 
 
-def _holevo(ch: QuantumChannel, ens: CqEnsemble, side: str) -> InfoResult:
-    probs = [p for p, _ in ens.items]
-    stacks = _block_stacks(qch.apply_ensemble(ch, ens))
+def _holevo(probs: np.ndarray, blocks: list[np.ndarray]) -> tuple:
+    """(H(avg), H(.|X)) per channel of a family, as (g,) arrays, and the
+    largest trace residual, from the weights probs (g, n) and the kernel's
+    (g, n, s, s) output stacks: one eigvalsh per block size in all."""
+    g, n = probs.shape
+    stacks = _block_stacks(blocks)
     # the average output, block by block, summed in ensemble order
-    avg = [sum(p * o for p, o in zip(probs, g)) for g in stacks]
-    (h_avg, *hs), resid = _entropies([np.concatenate([a[None], g]) for a, g in zip(avg, stacks)])
+    avg = [sum(probs[:, x, None, None, None] * st[:, x] for x in range(n)) for st in stacks]
+    outs = [np.concatenate([a[:, None], st], axis=1) for a, st in zip(avg, stacks)]
+    h, resid = _entropies([o.reshape((-1,) + o.shape[2:]) for o in outs])
+    h = np.reshape(h, (g, n + 1))
     h_cond = 0.0
-    for p, h in zip(probs, hs):
-        h_cond += p * h
+    for x in range(n):
+        h_cond = h_cond + probs[:, x] * h[:, x + 1]
+    return h[:, 0], h_cond, resid
+
+
+def _holevo_result(ch: QuantumChannel, ens: CqEnsemble, side: str) -> InfoResult:
+    probs = np.array([[p for p, _ in ens.items]])
+    states = np.array([[rho.matrix for _, rho in ens.items]])
+    h_avg, h_cond, resid = _holevo(probs, qch._apply_factors([ch], states))
+    h_avg, h_cond = float(h_avg[0]), float(h_cond[0])
     label = f"I(X;{side})"
     return InfoResult(
         value=h_avg - h_cond,
@@ -101,12 +114,39 @@ def _holevo(ch: QuantumChannel, ens: CqEnsemble, side: str) -> InfoResult:
 
 def holevo_bob(ch: QuantumChannel, ens: CqEnsemble) -> InfoResult:
     """I(X;B) = H(sum_x p_x N(rho_x)) - sum_x p_x H(N(rho_x))."""
-    return _holevo(ch, ens, "B")
+    return _holevo_result(ch, ens, "B")
 
 
 def holevo_eve(ch: QuantumChannel, ens: CqEnsemble) -> InfoResult:
     """I(X;E) through the canonical complement."""
-    return _holevo(qch.complementary(ch), ens, "E")
+    return _holevo_result(qch.complementary(ch), ens, "E")
+
+
+def holevo_bob_family(channels, probs, states) -> np.ndarray:
+    """I(X;B) of channel i on the states[i] (n, d, d) at weights probs[i],
+    for each i, checked as CqEnsemble and DensityOperator check theirs: one
+    kernel call per block layout, values in input order."""
+    probs = np.asarray(probs, dtype=np.float64)
+    states = np.asarray(states, dtype=np.complex128)
+    if probs.ndim != 2 or states.shape[:2] != probs.shape or len(channels) != len(probs):
+        raise ValueError("need one weight row and one state stack per channel")
+    if not len(channels):
+        return np.empty(0)
+    if np.any(probs < 0):
+        raise ValueError("ensemble probabilities must be nonnegative")
+    dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    if dev > 1e-9:
+        raise ValueError(f"ensemble probabilities miss a sum of 1 by {dev:.3e}")
+    qch._check_outputs([states])
+    groups: dict[tuple, list[int]] = {}
+    for i, ch in enumerate(channels):
+        groups.setdefault(qch._layout(ch), []).append(i)
+    values = np.empty(len(channels))
+    for idx in groups.values():
+        family = [channels[i] for i in idx]
+        h_avg, h_cond, _ = _holevo(probs[idx], qch._apply_factors(family, states[idx]))
+        values[idx] = h_avg - h_cond
+    return values
 
 
 def private_value(ch: QuantumChannel, ens: CqEnsemble) -> InfoResult:

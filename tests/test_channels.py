@@ -409,7 +409,7 @@ def test_apply_ensemble_matches_apply_per_member(make):
 def test_apply_ensemble_checks_every_member():
     ch = erasure_channel(Fraction(1, 4), 2)
     ens = CqEnsemble(tuple((0.5, qcore.basis_state(2, x).to_density()) for x in range(2)))
-    blocks = channels._apply_factors(ch, np.array([rho.matrix for _, rho in ens.items]))
+    blocks = channels.apply_ensemble(ch, ens)
     channels._check_outputs(blocks)
     skew = [np.array(b) for b in blocks]
     skew[0][1, 0, 1] += 1e-8
@@ -429,6 +429,33 @@ def test_apply_ensemble_checks_every_member():
         channels.apply_ensemble(leaky, ens)
     with pytest.raises(ValueError, match="does not match channel input"):
         channels.apply_ensemble(identity_channel(3), ens)
+
+
+def _erasure_pair(q, p):
+    return tensor_channels(erasure_channel(Fraction(q), 2), erasure_channel(Fraction(p), 2))
+
+
+def test_family_kernel_matches_each_member_and_rejects_mixed_layouts():
+    rng = np.random.default_rng(41)
+    family = [_erasure_pair("3/10", "7/10"), _erasure_pair("1/2", "1/100"),
+              _erasure_pair("99/100", "1/5")]
+    mats = np.array([[rho.matrix for rho in _mixed_rank_states(family[0].in_layout, rng)]
+                     for _ in family])
+    out = channels._apply_factors(family, mats)
+    sizes = [len(rows) for rows, _, _ in family[0].blocks]
+    assert [b.shape for b in out] == [(3, 4, s, s) for s in sizes]
+    assert not any(b.flags.writeable for b in out)
+    for i, ch in enumerate(family):
+        for b, one in zip(out, channels._apply_factors([ch], mats[i : i + 1])):
+            np.testing.assert_allclose(b[i], one[0], rtol=0, atol=1e-15)
+    # q = 0 drops the flag-raised block of the first factor
+    with pytest.raises(ValueError, match="share one block layout"):
+        channels._apply_factors(family + [_erasure_pair(0, "7/10")], mats[[0, 1, 2, 0]])
+    # so does one more Kraus index in a block of the same rows
+    kraus = np.array([np.eye(2)] * 2) / np.sqrt(2)
+    wide = QuantumChannel((2,), (2,), (2,), ((range(2), range(2), kraus),))
+    with pytest.raises(ValueError, match="share one block layout"):
+        channels._apply_factors([identity_channel(2), wide], np.array([[np.eye(2) / 2]] * 2))
 
 
 def test_main_channel_wiring():

@@ -31,7 +31,10 @@ unequal rank went through one batched kernel with zero padding. The
 that weighs both flag values about equally (channel and state JSON
 alongside) reaches the rocket blocks and their complement; it was recorded
 while `apply` still returned its own output object, built by a
-single-state branch of the kernel.
+single-state branch of the kernel. The `verify lemma3` files for seed 7
+at 25 samples and seed 0 at one sample were recorded while each sampled
+ensemble still went through its own kernel call, with its states built
+one by one.
 """
 
 import json
@@ -72,6 +75,12 @@ CASES = [
         ["info", "coherent", "--channel", str(GOLDEN / "channel_main_n1_p1-4_d3.json"),
          "--state", str(GOLDEN / "state_main_n1_p1-4_d3_rank2.json")],
     ),
+] + [
+    (
+        f"verify_lemma3_seed{seed}_samples{samples}.txt",
+        ["verify", "lemma3", "--seed", str(seed), "--samples", str(samples)],
+    )
+    for seed, samples in ((7, 25), (0, 1))
 ]
 
 

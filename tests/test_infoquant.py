@@ -70,7 +70,7 @@ def test_holevo_and_private_erasure():
 @pytest.mark.parametrize(
     "quantity",
     ["coherent_information", "holevo_bob", "holevo_eve", "private_value", "brute_force_p1",
-     "brute_force_c1"],
+     "brute_force_c1", "holevo_bob_family"],
 )
 def test_quantities_never_build_a_dense_kraus_stack(quantity, monkeypatch):
     # any read of a dense stack fails
@@ -98,10 +98,84 @@ def test_quantities_never_build_a_dense_kraus_stack(quantity, monkeypatch):
     rho = qcore.random_density(ch.in_layout, rng, rank=2)
     if quantity == "coherent_information":
         iq.coherent_information(ch, rho)
+    elif quantity == "holevo_bob_family":
+        pure = qcore.random_pure(ch.in_layout, rng).to_density()
+        iq.holevo_bob_family([ch, ch], [[0.5, 0.5]] * 2, [[rho.matrix, pure.matrix]] * 2)
     else:
         ens = CqEnsemble(((0.5, rho), (0.5, qcore.random_pure(ch.in_layout, rng).to_density())))
         getattr(iq, quantity)(ch, ens)
-    assert len(seen) == (1 if quantity == "holevo_bob" else 2)
+    assert len(seen) == (1 if quantity.startswith("holevo_bob") else 2)
+
+
+def _family_case():
+    """Erasure pairs of five block layouts: q or p in {0, 1} drops a block,
+    and (1, 1/4) and (1, 0) are groups of one. Each channel takes a pure, a
+    full-rank and a rank-2 state."""
+    pairs = [("3/10", "7/10"), (1, "1/4"), ("1/2", "1/100"), (0, "2/5"), ("1/5", 1),
+             (1, 0), ("99/100", "1/3"), (0, "1/2"), ("3/4", 1)]
+    channels = [tensor_channels(erasure_channel(Fraction(q), 2), erasure_channel(Fraction(p), 2))
+                for q, p in pairs]
+    rng = np.random.default_rng(23)
+    lay = channels[0].in_layout
+    probs = rng.dirichlet(np.ones(3), size=len(channels))
+    states = [[qcore.random_pure(lay, rng).to_density(), qcore.random_density(lay, rng),
+               qcore.random_density(lay, rng, rank=2)] for _ in channels]
+    return channels, probs, states
+
+
+def test_holevo_bob_family_matches_holevo_bob_pair_by_pair():
+    channels, probs, states = _family_case()
+    mats = [[rho.matrix for rho in row] for row in states]
+    values = iq.holevo_bob_family(channels, probs, mats)
+    assert values.shape == (len(channels),)
+    for ch, w, row, value in zip(channels, probs, states, values):
+        one = iq.holevo_bob(ch, CqEnsemble(tuple(zip(w, row))))
+        assert value == pytest.approx(one.value, abs=1e-12)
+    assert iq.holevo_bob_family([], np.zeros((0, 3)), np.zeros((0, 3, 4, 4))).shape == (0,)
+
+
+def _bad_weight(probs, mats):
+    probs[2] = [-0.1, 0.6, 0.5]
+
+
+def _bad_sum(probs, mats):
+    probs[4, 0] += 1e-6
+
+
+def _bad_hermitian(probs, mats):
+    mats[1, 2, 0, 1] += 1e-8
+
+
+def _bad_trace(probs, mats):
+    mats[3, 0] *= 1 + 1e-6
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [(_bad_weight, "nonnegative"), (_bad_sum, "miss a sum of 1 by 1.000e-06"),
+     (_bad_hermitian, "not Hermitian"), (_bad_trace, "trace deviates from 1 by 1.000e-06")],
+    ids=["negative-weight", "weight-sum", "non-hermitian", "trace"],
+)
+def test_holevo_bob_family_checks_its_inputs(spoil, message):
+    channels, probs, states = _family_case()
+    mats = np.array([[rho.matrix for rho in row] for row in states])
+    iq.holevo_bob_family(channels, probs, mats)
+    spoil(probs, mats)
+    with pytest.raises(ValueError, match=message):
+        iq.holevo_bob_family(channels, probs, mats)
+
+
+def test_lemma3_makes_one_kernel_call_per_block_layout(monkeypatch):
+    layouts = []
+    kernel = iq.qch._apply_factors
+
+    def counting(family, mats):
+        layouts.append(iq.qch._layout(family[0]))
+        return kernel(family, mats)
+
+    monkeypatch.setattr(iq.qch, "_apply_factors", counting)
+    assert verify.run_lemma3(0, 200).passed
+    assert len(layouts) == len(set(layouts)) <= 9
 
 
 def test_private_value_vanishes_at_half():
