@@ -36,16 +36,22 @@ class BoundParams:
             raise ValueError(f"log2d must be positive, got {self.log2d}")
 
 
+_CELLS = ("U1", "U2", "U3", "L", "D1", "D2", "D3")
+
+
+def _cell(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, reduced with one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 @dataclass(frozen=True)
 class TheoremRow:
+    """Row k: U1, U2, U3, L, D1, D2, D3 as reduced rationals in text, and
+    whether every difference is positive."""
+
     k: int
-    u1: Fraction
-    u2: Fraction
-    u3: Fraction
-    lower: Fraction
-    d1: Fraction
-    d2: Fraction
-    d3: Fraction
+    cells: tuple[str, ...]
     ok: bool
 
 
@@ -59,44 +65,19 @@ class TheoremReport:
         return all(r.ok for r in self.rows)
 
     def to_csv(self) -> str:
-        lines = ["n,k,U1,U2,U3,L,D1,D2,D3,pass"]
+        n = self.params.n
+        lines = [",".join(("n", "k", *_CELLS, "pass"))]
         for r in self.rows:
-            cells = [
-                str(self.params.n),
-                str(r.k),
-                str(r.u1),
-                str(r.u2),
-                str(r.u3),
-                str(r.lower),
-                str(r.d1),
-                str(r.d2),
-                str(r.d3),
-                "true" if r.ok else "false",
-            ]
-            lines.append(",".join(cells))
+            lines.append(f"{n},{r.k},{','.join(r.cells)},{'true' if r.ok else 'false'}")
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
+        n = self.params.n
         return {
-            "params": {
-                "n": self.params.n,
-                "p": str(self.params.p),
-                "log2d": str(self.params.log2d),
-            },
+            "params": {"n": n, "p": str(self.params.p), "log2d": str(self.params.log2d)},
             "unit": "rational-bits",
             "rows": [
-                {
-                    "n": self.params.n,
-                    "k": r.k,
-                    "U1": str(r.u1),
-                    "U2": str(r.u2),
-                    "U3": str(r.u3),
-                    "L": str(r.lower),
-                    "D1": str(r.d1),
-                    "D2": str(r.d2),
-                    "D3": str(r.d3),
-                    "pass": r.ok,
-                }
+                {"n": n, "k": r.k, **dict(zip(_CELLS, r.cells)), "pass": r.ok}
                 for r in self.rows
             ],
             "pass": self.passed,
@@ -202,8 +183,11 @@ def theorem_report(n: int) -> TheoremReport:
     U2 is the larger of the classical and mixed(i=k-1) totals of _branches
     (at k = 1 both are 2n). Writing L = l/D and U_i = v_i/D, the difference
     D_i is (l - v_i)/D, and since D > 0 the row passes iff
-    min(l - v1, l - v2, l - v3) > 0, decided on integers. Each printed cell
-    is one Fraction(num, den), reduced once.
+    min(l - v1, l - v2, l - v3) > 0, decided on integers. D1 never decides
+    a row: the classical total alone gives U2 >= 2kn/k = 2n >= 2n/k = U1,
+    so D1 >= D2. Each printed cell is its numerator over D (U3 over bd)
+    reduced once by a gcd, the text str(Fraction) would print; the row
+    keeps only that text.
     """
     params = theorem_params(n)
     return TheoremReport(params=params, rows=_theorem_rows(params))
@@ -214,30 +198,21 @@ def _theorem_rows(params: BoundParams) -> tuple[TheoremRow, ...]:
     the closed form derived in theorem_report."""
     n = params.n
     a = (1 - params.p) * params.log2d
-    u3 = (1 - 2 * params.p) * params.log2d
+    b = (1 - 2 * params.p) * params.log2d
     an, ad = a.numerator, a.denominator
-    bn, bd = u3.numerator, u3.denominator
+    bn, bd = b.numerator, b.denominator
+    u3 = _cell(bn, bd)
     rows = []
     for k in range(1, n):
         den = k * (k + 1) * ad * bd
-        u2_num = max(2 * n * k * ad, 2 * n * ad + (k - 1) * an)  # U2 = u2_num / (k ad)
-        low = k * k * an * bd  # L = low / den
-        diff1 = low - 2 * n * (k + 1) * ad * bd
-        diff2 = low - (k + 1) * bd * u2_num
-        diff3 = low - k * (k + 1) * ad * bn
-        rows.append(
-            TheoremRow(
-                k=k,
-                u1=Fraction(2 * n, k),
-                u2=Fraction(u2_num, k * ad),
-                u3=u3,
-                lower=Fraction(k * an, (k + 1) * ad),
-                d1=Fraction(diff1, den),
-                d2=Fraction(diff2, den),
-                d3=Fraction(diff3, den),
-                ok=min(diff1, diff2, diff3) > 0,
-            )
-        )
+        low = k * k * an * bd
+        v1 = 2 * n * (k + 1) * ad * bd
+        v2 = (k + 1) * bd * max(2 * n * k * ad, 2 * n * ad + (k - 1) * an)
+        v3 = k * (k + 1) * ad * bn
+        diff1, diff2, diff3 = low - v1, low - v2, low - v3
+        cells = (_cell(v1, den), _cell(v2, den), u3, _cell(low, den),
+                 _cell(diff1, den), _cell(diff2, den), _cell(diff3, den))
+        rows.append(TheoremRow(k, cells, min(diff1, diff2, diff3) > 0))
     return tuple(rows)
 
 

@@ -127,17 +127,18 @@ class QuantumChannel:
         return self.out_layout.total
 
 
-def _check_outputs(blocks) -> None:
-    """Raise ValueError unless the outputs held in `blocks`, one (m, s, s)
+def _check_states(blocks, block: str = "output block", state: str = "output") -> None:
+    """Raise ValueError unless the states held in `blocks`, one (m, s, s)
     stack per block, pass the checks a DensityOperator makes: every block
     Hermitian within TOL_HERMITIAN, and the block traces of each of the m
-    outputs summing to 1 within TOL_TRACE."""
+    states summing to 1 within TOL_TRACE. `block` and `state` name a block
+    and a whole state in the messages."""
     herm = float(max((abs(b - b.conj().swapaxes(-1, -2)).max() for b in blocks), default=0.0))
     if herm > TOL_HERMITIAN:
-        raise ValueError(f"output block is not Hermitian (deviation {herm:.3e})")
+        raise ValueError(f"{block} is not Hermitian (deviation {herm:.3e})")
     dev = float(np.max(np.abs(sum(b.trace(axis1=-2, axis2=-1) for b in blocks) - 1.0)))
     if dev > TOL_TRACE:
-        raise ValueError(f"output trace deviates from 1 by {dev:.3e}")
+        raise ValueError(f"{state} trace deviates from 1 by {dev:.3e}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def _apply_factors(family, mats: np.ndarray) -> list[np.ndarray]:
     """The outputs of a family of g channels of one block layout (else
     ValueError), channel i on the states mats[i] of a (g, m, in_dim, in_dim)
     stack, as one read-only (g, m, len(rows), len(rows)) stack per block, in
-    block order, checked by _check_outputs.
+    block order, checked by _check_states.
 
     With every state factored by rank_factors into a diag(s) a^dag, the
     images W[r, (k, j)] = (K_k a_j)[r] come from one matmul call per block
@@ -228,7 +229,7 @@ def _apply_factors(family, mats: np.ndarray) -> list[np.ndarray]:
         block = w.reshape(g, m, n, -1) @ ws.reshape(g, m, n, -1).swapaxes(-1, -2)
         block.setflags(write=False)
         out.append(block)
-    _check_outputs(out)
+    _check_states(out)
     return out
 
 

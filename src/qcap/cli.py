@@ -270,9 +270,10 @@ def _cmd_sweep(args) -> int:
         if args.p > Fraction(1, 2) or args.p < 0:
             raise UsageError("sweep locking needs 0 <= --p <= 1/2")
         lo, hi = args.d
+        p = str(args.p)
         sys.stdout.write("p,d,upper_bits\n")
         for d in range(max(lo, 1), hi + 1):
-            sys.stdout.write(f"{args.p},{d},{fmt9(bounds.locking_upper(args.p, d))}\n")
+            sys.stdout.write(f"{p},{d},{fmt9(bounds.locking_upper(args.p, d))}\n")
         return EXIT_OK
 
     if args.n < 2:

@@ -137,7 +137,7 @@ def holevo_bob_family(channels, probs, states) -> np.ndarray:
     dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
     if dev > 1e-9:
         raise ValueError(f"ensemble probabilities miss a sum of 1 by {dev:.3e}")
-    qch._check_outputs([states])
+    qch._check_states([states], block="input state", state="input state")
     groups: dict[tuple, list[int]] = {}
     for i, ch in enumerate(channels):
         groups.setdefault(qch._layout(ch), []).append(i)

@@ -28,12 +28,12 @@ def test_a1_interleaving_bounds_exact():
         rep = theorem_report(n)
         assert rep.passed, f"difference not positive at n={n}"
         for row in rep.rows:
-            assert isinstance(row.d1, Fraction)
-            assert min(row.d1, row.d2, row.d3) > 0
+            assert all(str(Fraction(c)) == c for c in row.cells)  # exact, reduced
+            assert min(map(Fraction, row.cells[4:])) > 0  # D1, D2, D3
     elapsed = time.perf_counter() - start
     row = theorem_report(2).rows[0]
-    assert (row.u1, row.u2, row.u3, row.lower) == (4, 4, 16, 52)
-    assert (row.d1, row.d2, row.d3) == (48, 48, 36)
+    assert row.cells[:4] == ("4", "4", "16", "52")  # U1, U2, U3, L
+    assert row.cells[4:] == ("48", "48", "36")
     assert elapsed < 1.0, f"exact sweep took {elapsed:.2f}s"
 
 

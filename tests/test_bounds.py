@@ -1,15 +1,16 @@
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcap import infoquant as iq
 from qcap.bounds import (
     BoundParams,
-    TheoremRow,
+    _cell,
     _theorem_rows,
     classical_add_upper,
     conjecture_threshold,
@@ -142,6 +143,20 @@ def test_p1_upper_equals_loop_over_every_split():
     assert ties > 0
 
 
+Row = namedtuple("Row", "k u1 u2 u3 lower d1 d2 d3 ok")
+
+
+def _values(rows):
+    """The rows with their cells read back as Fractions; every cell must be
+    the text str(Fraction) prints for its value."""
+    out = []
+    for r in rows:
+        values = [Fraction(c) for c in r.cells]
+        assert [str(v) for v in values] == list(r.cells)
+        out.append(Row(r.k, *values, r.ok))
+    return tuple(out)
+
+
 def _theorem_rows_by_fractions(params):
     """The report's rows from Fraction expressions: L = q_lower(k+1) against
     2n/k, the best non-erasure split over k, and (1-2p) log2d."""
@@ -152,8 +167,25 @@ def _theorem_rows_by_fractions(params):
         u2 = max(v for v, label in _branches_by_loop(params, k) if label != "erasure") / k
         u3 = (1 - 2 * params.p) * params.log2d
         d1, d2, d3 = lower - u1, lower - u2, lower - u3
-        rows.append(TheoremRow(k, u1, u2, u3, lower, d1, d2, d3, min(d1, d2, d3) > 0))
+        rows.append(Row(k, u1, u2, u3, lower, d1, d2, d3, min(d1, d2, d3) > 0))
     return tuple(rows)
+
+
+@settings(max_examples=500, database=None, deadline=None)
+@given(
+    num=st.one_of(st.integers(-12, 12), st.integers(-(2**70), 2**70)),
+    den=st.one_of(st.just(1), st.integers(1, 5000), st.integers(1, 2**70)),
+    common=st.one_of(st.just(1), st.integers(1, 2**35)),
+)
+@example(num=0, den=7, common=1)
+@example(num=-6, den=1, common=1)
+@example(num=-6, den=4, common=1)
+@example(num=63 * 63 * 26 * 64 * 64, den=63 * 64, common=1)  # L at n = 64, k = 63
+def test_cell_is_the_fraction_text(num, den, common):
+    # a common factor makes the gcd do work; the numerators of the n = 64
+    # rows stay below 2**30
+    num, den = num * common, den * common
+    assert _cell(num, den) == str(Fraction(num, den))
 
 
 @settings(max_examples=200, database=None, deadline=None)
@@ -164,7 +196,9 @@ def _theorem_rows_by_fractions(params):
 )
 def test_theorem_rows_equal_fraction_expressions(n, p, log2d):
     params = BoundParams(n, p, log2d)
-    assert _theorem_rows(params) == _theorem_rows_by_fractions(params)
+    rows = _values(_theorem_rows(params))
+    assert rows == _theorem_rows_by_fractions(params)
+    assert all(r.d1 >= r.d2 for r in rows)  # U1 = 2n/k <= 2n <= U2
 
 
 def test_theorem_rows_at_the_mixed_tie_and_at_half():
@@ -174,12 +208,12 @@ def test_theorem_rows_at_the_mixed_tie_and_at_half():
             tie = 2 * n / (1 - p)  # (1-p) log2d == 2n: classical and mixed(i=k-1) tie
             for log2d in (tie, tie - Fraction(1, 97), tie + Fraction(1, 97)):
                 params = BoundParams(n, p, log2d)
-                rows = _theorem_rows(params)
+                rows = _values(_theorem_rows(params))
                 assert rows == _theorem_rows_by_fractions(params)
                 if log2d == tie:
                     assert all(r.u2 == 2 * n and not r.ok for r in rows)
         half = BoundParams(n, Fraction(1, 2), Fraction(48 * n * n))
-        rows = _theorem_rows(half)
+        rows = _values(_theorem_rows(half))
         assert rows == _theorem_rows_by_fractions(half)
         assert all(r.u3 == 0 and r.d3 == r.lower for r in rows)
 
@@ -188,17 +222,17 @@ def test_theorem_rows_fail_on_a_zero_difference():
     # the edges of the passing region: D3 = 0 at k = 1 when p = 1/3, and
     # D2 = 0 at k = n-1 when log2d = 2n^2/(1-p)
     for n in range(2, 9):
-        edge_p = _theorem_rows(BoundParams(n, Fraction(1, 3), Fraction(48 * n * n)))
+        edge_p = _values(_theorem_rows(BoundParams(n, Fraction(1, 3), Fraction(48 * n * n))))
         assert edge_p[0].d3 == 0 and not edge_p[0].ok
         p = Fraction(11, 24)
-        edge_d = _theorem_rows(BoundParams(n, p, 2 * n * n / (1 - p)))
+        edge_d = _values(_theorem_rows(BoundParams(n, p, 2 * n * n / (1 - p))))
         assert edge_d[-1].d2 == 0 and not edge_d[-1].ok
 
 
 def test_theorem_u2_equals_loop_over_every_split():
     for n in range(2, 65):
         report = theorem_report(n)
-        for row in report.rows:
+        for row in _values(report.rows):
             branches = _branches_by_loop(report.params, row.k)
             assert row.u2 == max(v for v, label in branches if label != "erasure") / row.k
 
@@ -234,7 +268,7 @@ def test_theorem_report_n2():
     assert rep.params.p == Fraction(11, 24)
     assert rep.params.log2d == 192
     assert len(rep.rows) == 1
-    r = rep.rows[0]
+    (r,) = _values(rep.rows)
     assert (r.u1, r.u2, r.u3, r.lower) == (4, 4, 16, 52)
     assert (r.d1, r.d2, r.d3) == (48, 48, 36)
     assert r.ok and rep.passed
@@ -242,7 +276,7 @@ def test_theorem_report_n2():
 
 def test_theorem_report_n3():
     rep = theorem_report(3)
-    row2 = rep.rows[1]
+    row2 = _values(rep.rows)[1]
     assert row2.k == 2
     assert row2.u2 == 120
     assert row2.lower == 156
@@ -252,7 +286,7 @@ def test_theorem_report_n3():
 def test_theorem_difference_identities():
     for n in (2, 3, 5, 8, 13, 21, 64):
         rep = theorem_report(n)
-        for r in rep.rows:
+        for r in _values(rep.rows):
             k = r.k
             assert r.d1 == Fraction(26 * k * n * n, k + 1) - Fraction(2 * n, k)
             assert r.d2 == Fraction(-2 * n * (k - 13 * n + 1), k * (k + 1))
@@ -303,6 +337,6 @@ def test_conjecture_threshold():
 
 def test_rationality_is_exact():
     rep = theorem_report(7)
-    for r in rep.rows:
+    for r in _values(rep.rows):
         for v in (r.u1, r.u2, r.u3, r.lower, r.d1, r.d2, r.d3):
             assert isinstance(v, Fraction)

@@ -281,12 +281,12 @@ def test_block_output_checks_hermiticity_and_trace_per_block(block):
     ch = main_channel(1, Fraction(1, 4), 2)
     rho = qcore.random_density(ch.in_layout, np.random.default_rng(9))
     out = apply(ch, rho)
-    channels._check_outputs(out)  # the output itself passes
+    channels._check_states(out)  # the output itself passes
 
     def with_block(b):
         blocks = list(out)
         blocks[block] = b
-        channels._check_outputs(blocks)
+        channels._check_states(blocks)
 
     skew = np.array(out[block])
     skew[0, 0, 1] += 1e-8
@@ -410,18 +410,18 @@ def test_apply_ensemble_checks_every_member():
     ch = erasure_channel(Fraction(1, 4), 2)
     ens = CqEnsemble(tuple((0.5, qcore.basis_state(2, x).to_density()) for x in range(2)))
     blocks = channels.apply_ensemble(ch, ens)
-    channels._check_outputs(blocks)
+    channels._check_states(blocks)
     skew = [np.array(b) for b in blocks]
     skew[0][1, 0, 1] += 1e-8
     with pytest.raises(ValueError, match="output block is not Hermitian"):
-        channels._check_outputs(skew)
+        channels._check_states(skew)
     # member 0 gains what member 1 loses: the traces summed over the batch
     # still read 2, but each member's deviates
     shifted = [np.array(b) for b in blocks]
     shifted[0][0, 0, 0] += 1e-8
     shifted[0][1, 0, 0] -= 1e-8
     with pytest.raises(ValueError, match="output trace deviates from 1 by 1.000e-08"):
-        channels._check_outputs(shifted)
+        channels._check_states(shifted)
     # a Kraus family 4e-10 off trace preserving, which construction admits
     leaky = QuantumChannel(ch.in_layout, ch.out_layout, ch.env_layout,
                            tuple((r, e, k * np.sqrt(1 + 4e-10)) for r, e, k in ch.blocks))

@@ -34,7 +34,9 @@ while `apply` still returned its own output object, built by a
 single-state branch of the kernel. The `verify lemma3` files for seed 7
 at 25 samples and seed 0 at one sample were recorded while each sampled
 ensemble still went through its own kernel call, with its states built
-one by one.
+one by one. The `bounds theorem --n 7` JSON and the `sweep bounds --n 8
+--k 2:5` CSV were recorded while each theorem row still held its values
+as Fractions and printed them through `str`.
 """
 
 import json
@@ -61,6 +63,9 @@ CASES = [
 ] + [
     (f"bounds_theorem_n{n}.csv", ["bounds", "theorem", "--n", str(n), "--format", "csv"])
     for n in (2, 3, 7, 64)
+] + [
+    ("bounds_theorem_n7.txt", ["bounds", "theorem", "--n", "7"]),
+    ("sweep_bounds_n8_k2-5.csv", ["sweep", "bounds", "--n", "8", "--k", "2:5"]),
 ] + [
     (
         f"info_{quantity}_{channel}_mixed_rank.txt",

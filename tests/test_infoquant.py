@@ -153,7 +153,8 @@ def _bad_trace(probs, mats):
 @pytest.mark.parametrize(
     "spoil,message",
     [(_bad_weight, "nonnegative"), (_bad_sum, "miss a sum of 1 by 1.000e-06"),
-     (_bad_hermitian, "not Hermitian"), (_bad_trace, "trace deviates from 1 by 1.000e-06")],
+     (_bad_hermitian, "^input state is not Hermitian"),
+     (_bad_trace, "^input state trace deviates from 1 by 1.000e-06")],
     ids=["negative-weight", "weight-sum", "non-hermitian", "trace"],
 )
 def test_holevo_bob_family_checks_its_inputs(spoil, message):
