@@ -63,7 +63,9 @@ class QuantumChannel:
     outside its block's rows is zero. No two blocks share an output row or a
     Kraus index. env_layout describes the grouping of the Kraus index (the
     canonical environment). The channel keeps read-only copies of the blocks
-    it is given, so its caller cannot change it afterwards. `kraus` is the
+    it is given, so its caller cannot change it afterwards, and records in
+    _tp_dev the deviation of sum_k K_k^dag K_k from I that its check
+    measured (a bound on it for a product, see tensor_channels). `kraus` is the
     dense (n_kraus, out_dim, in_dim) stack, built on first access. `spec`
     is the canonical JSON object, or None (a complement, for instance).
     """
@@ -78,6 +80,13 @@ class QuantumChannel:
         object.__setattr__(self, "in_layout", layout_of(self.in_layout))
         object.__setattr__(self, "out_layout", layout_of(self.out_layout))
         object.__setattr__(self, "env_layout", layout_of(self.env_layout))
+        if isinstance(self.blocks, _ProductBlocks):
+            dev = self.blocks.tp_dev
+            if dev > TOL_CPTP:
+                raise ChannelSpecError("not trace preserving")
+            object.__setattr__(self, "blocks", tuple(self.blocks))
+            object.__setattr__(self, "_tp_dev", dev)
+            return
         din = self.in_dim
         blocks = tuple(
             (
@@ -96,7 +105,8 @@ class QuantumChannel:
             for a in (rows, env, k):
                 a.setflags(write=False)
         flat = np.concatenate([k.reshape(-1, din) for _, _, k in blocks])
-        if np.max(np.abs(flat.conj().T @ flat - np.eye(din))) > TOL_CPTP:
+        dev = float(np.max(np.abs(flat.conj().T @ flat - np.eye(din))))
+        if dev > TOL_CPTP:
             raise ChannelSpecError("not trace preserving")
         for axis, total in ((0, self.out_dim), (1, self.n_kraus)):
             idx = np.concatenate([b[axis] for b in blocks]).tolist()
@@ -104,6 +114,7 @@ class QuantumChannel:
                 what = ("output rows", "kraus indices")[axis]
                 raise ChannelSpecError(f"blocks need distinct {what} below {total}")
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_tp_dev", dev)
 
     @cached_property
     def kraus(self) -> np.ndarray:
@@ -263,8 +274,25 @@ def complementary(ch: QuantumChannel) -> QuantumChannel:
     )
 
 
+class _ProductBlocks(tuple):
+    """Read-only blocks that tensor_channels built, with a bound tp_dev on
+    their deviation from trace preservation: QuantumChannel takes them as
+    they are, without the copy, the CPTP product or the index scan."""
+
+    tp_dev: float
+
+
 def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """Pairwise Kronecker products of the Kraus families, block by block."""
+    """Pairwise Kronecker products of the Kraus families, block by block.
+
+    The product is not checked again. Its rows ra * out_b + rb and Kraus
+    indices ea * n_kraus_b + eb are distinct, since the factors' are. With
+    A^dag A = I + E_a and B^dag B = I + E_b, the product's is
+    I + E_a x I + I x E_b + E_a x E_b, so its deviation from I is at most
+    da + db + da db. The pad 4 eps (ma + mb + ma mb + 8), with ma, mb the
+    factors' stacked Kraus rows, covers the rounding of the three Gram
+    products and of the Kronecker entries: the product is refused whenever
+    a full check of its blocks would refuse it."""
     in_lay = a.in_layout.concat(b.in_layout)
     out_lay = a.out_layout.concat(b.out_layout)
     env_lay = a.env_layout.concat(b.env_layout)
@@ -275,14 +303,20 @@ def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     for ra, ea, ka in a.blocks:
         for rb, eb, kb in b.blocks:
             (na, oa, ia), (nb, ob, ib) = ka.shape, kb.shape
-            k = np.einsum("iab,jcd->ijacbd", ka, kb).reshape(na * nb, oa * ob, ia * ib)
+            k = np.einsum("iab,jcd->ijacbd", ka, kb, order="C").reshape(na * nb, oa * ob, ia * ib)
             rows = np.add.outer(ra * b.out_dim, rb).ravel()
             env = np.add.outer(ea * b.n_kraus, eb).ravel()
+            for x in (rows, env, k):
+                x.setflags(write=False)
             blocks.append((rows, env, k))
+    blocks = _ProductBlocks(blocks)
+    ma, mb = (sum(k.shape[0] * k.shape[1] for _, _, k in c.blocks) for c in (a, b))
+    da, db = a._tp_dev, b._tp_dev
+    blocks.tp_dev = da + db + da * db + 4 * np.finfo(np.float64).eps * (ma + mb + ma * mb + 8)
     spec = None
     if a.spec is not None and b.spec is not None:
         spec = {"kind": "tensor", "factors": [a.spec, b.spec]}
-    return QuantumChannel(in_lay, out_lay, env_lay, tuple(blocks), spec)
+    return QuantumChannel(in_lay, out_lay, env_lay, blocks, spec)
 
 
 def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:

@@ -552,7 +552,12 @@ def gamma_d(d: int) -> float:
 
 
 def subentropy(rho: DensityOperator) -> float:
-    """Subentropy of the spectrum, in bits (Jozsa, Robb & Wootters, PRA 49, 668).
+    """Subentropy of rho, in bits: spectrum_subentropy of its eigenvalues."""
+    return spectrum_subentropy(np.linalg.eigvalsh(rho.matrix))
+
+
+def spectrum_subentropy(w: np.ndarray) -> float:
+    """Subentropy of a spectrum, in bits (Jozsa, Robb & Wootters, PRA 49, 668).
 
     Q = -g[lam_1, ..., lam_d], the divided difference of g(x) = x^d log2 x
     over the d eigenvalues, from one Newton table. Where a node repeats the
@@ -565,7 +570,6 @@ def subentropy(rho: DensityOperator) -> float:
     over a gap just above the cut divides rounding errors by it: at a 1e-9
     cut, a pair 1.1e-9 apart read 1.1e-7 bits off.
     """
-    w = np.linalg.eigvalsh(rho.matrix)
     dim = len(w)
     lam = sorted(0.0 if x < 1e-12 else min(x, 1.0) for x in w.tolist())
     nodes, start = [], 0
@@ -605,22 +609,29 @@ def haar_measured_entropy(
     so the outcome probabilities of sample U are <u_i|rho|u_i> =
     sum_j s_j |<a_j|u_i>|^2 over its columns u_i: one matrix product of
     the rank factor with every sample's columns, and one with the signs,
-    per chunk of 50000 samples.
+    per chunk of 50000 samples. For any unitary U the d probabilities sum
+    to tr rho = sum_j s_j ||a_j||^2, so only the first d-1 columns are
+    drawn to the end (qcore.haar_unitaries' `columns`), and the last
+    outcome's probability is that trace minus the other d-1; at d = 1 it
+    is the trace itself. The difference can dip below 0 by rounding,
+    which spectrum_entropy clips.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = rho.dim
     a, sign = qch.rank_factors(rho.matrix)
     a_dag = a.conj().T
+    trace = float(sign @ np.sum(a.real**2 + a.imag**2, axis=0))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ent = np.empty(samples)
     done = 0
     while done < samples:
         chunk = min(50000, samples - done)
-        u = qcore.haar_unitaries(d, chunk, rng)
-        # <a_j|u_i> for every column u_i of every sample, from one product
+        u = qcore.haar_unitaries(d, chunk, rng, columns=d - 1)
+        # <a_j|u_i> for the first d-1 columns u_i of every sample, from one product
         x = a_dag @ u.transpose(1, 0, 2).reshape(d, -1)
-        probs = (sign @ (x.real**2 + x.imag**2)).reshape(chunk, d)
+        head = (sign @ (x.real**2 + x.imag**2)).reshape(chunk, d - 1)
+        probs = np.concatenate([head, trace - np.sum(head, axis=1, keepdims=True)], axis=1)
         ent[done : done + chunk] = qcore.spectrum_entropy(probs)
         done += chunk
     mean = float(np.mean(ent))

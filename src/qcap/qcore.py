@@ -245,21 +245,34 @@ def max_entangled(d: int) -> PureState:
 # seeded sampling helpers (Monte Carlo and optimizer restarts)
 
 
-def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of `count` Haar-random d x d unitaries.
+def haar_unitaries(
+    d: int, count: int, rng: np.random.Generator, columns: int | None = None
+) -> np.ndarray:
+    """Stack of `count` Haar-random d x d unitaries, or their first
+    `columns` columns, of shape (count, d, columns).
 
     Each is the Q factor of a complex Gaussian matrix G = QR whose R has a
     positive real diagonal (Mezzadri, Notices AMS 54, 592, 2007). That
     factor is unique, so this is LAPACK's QR with R's diagonal phases moved
-    into Q, up to rounding. Gram-Schmidt computes it over every sample at
-    once in d column steps: step j removes the finished columns' components
-    from column j twice (once loses orthogonality in proportion to G's
-    condition number; twice is enough, Giraud et al., Numer. Math. 101,
-    2005) and normalises it. Q is then unitary to a few ulp and as close
-    to the exact factor as LAPACK's is.
+    into Q, up to rounding. G's real parts, then its imaginary parts, are
+    drawn as two (count, d, d) blocks into one buffer, and the columns
+    asked for are written into the real and imaginary views of one complex
+    array: bit for bit G = a + 1j*b, without that sum's temporaries.
+    Gram-Schmidt computes Q over every sample at once in column steps:
+    step j removes the finished columns' components from column j twice
+    (once loses orthogonality in proportion to G's condition number; twice
+    is enough, Giraud et al., Numer. Math. 101, 2005) and normalises it. Q
+    is then unitary to a few ulp and as close to the exact factor as
+    LAPACK's is. Step j reads only the columns before it, so the first k
+    columns cost k steps and are bit for bit those of the full Q. All of G
+    is drawn whatever `columns` is, so the generator's stream goes on alike.
     """
-    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    for j in range(d):
+    cols = d if columns is None else columns
+    buf = rng.standard_normal((count, d, d))
+    g = np.empty((count, d, cols), dtype=np.complex128)
+    g.real = buf[:, :, :cols]
+    g.imag = rng.standard_normal(out=buf)[:, :, :cols]
+    for j in range(cols):
         col, done = g[:, :, j], g[:, :, :j]
         for _ in range(2 if j else 0):
             col -= np.einsum("sak,sk->sa", done, np.einsum("sak,sa->sk", done.conj(), col))

@@ -246,6 +246,69 @@ def test_tensor_channels_compose():
     assert sq.in_dim == 4 and sq.n_kraus == a.n_kraus**2
 
 
+def _full_check_product(a, b):
+    """tensor_channels' blocks built as a plain tuple, so QuantumChannel
+    copies them and checks them in full."""
+    blocks = []
+    for ra, ea, ka in a.blocks:
+        for rb, eb, kb in b.blocks:
+            (na, oa, ia), (nb, ob, ib) = ka.shape, kb.shape
+            k = np.einsum("iab,jcd->ijacbd", ka, kb).reshape(na * nb, oa * ob, ia * ib)
+            rows = np.add.outer(ra * b.out_dim, rb).ravel()
+            env = np.add.outer(ea * b.n_kraus, eb).ravel()
+            blocks.append((rows, env, k))
+    return QuantumChannel(
+        a.in_layout.concat(b.in_layout),
+        a.out_layout.concat(b.out_layout),
+        a.env_layout.concat(b.env_layout),
+        tuple(blocks),
+    )
+
+
+def _scaled_identity(d, dev):
+    """The identity channel with Kraus operator sqrt(1 + dev) I, so that
+    K^dag K - I = dev I."""
+    return QuantumChannel((d,), (d,), (1,), ((range(d), [0], np.sqrt(1 + dev) * np.eye(d)[None]),))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_product_of_factors_near_the_cptp_tolerance_is_refused(d):
+    # each factor passes at 6e-10, their product sits 1.2e-9 off
+    a, b = _scaled_identity(d, 6e-10), _scaled_identity(2, 6e-10)
+    with pytest.raises(ChannelSpecError, match="not trace preserving"):
+        _full_check_product(a, b)
+    with pytest.raises(ChannelSpecError, match="not trace preserving"):
+        tensor_channels(a, b)
+    assert tensor_channels(a, _scaled_identity(2, 3e-10)).in_dim == 2 * d
+
+
+_product_factors = st.one_of(
+    st.integers(1, 3).map(identity_channel),
+    st.tuples(st.fractions(0, 1, max_denominator=12), st.integers(1, 3)).map(
+        lambda pd: erasure_channel(*pd)
+    ),
+    st.sampled_from(["identity", "pauli"]).map(lambda e: rocket_channel(2, e)),
+    st.tuples(st.integers(1, 3), st.floats(-9e-10, 9e-10)).map(lambda t: _scaled_identity(*t)),
+)
+
+
+@settings(max_examples=40, database=None, deadline=None)
+@given(a=_product_factors, b=_product_factors)
+def test_product_blocks_equal_the_fully_checked_ones(a, b):
+    try:
+        ab = tensor_channels(a, b)
+    except ChannelSpecError:
+        return  # the product path may refuse more than the full check
+    checked = _full_check_product(a, b)
+    assert len(ab.blocks) == len(checked.blocks)
+    for fast, full in zip(ab.blocks, checked.blocks):
+        for x, y in zip(fast, full):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert x.flags.c_contiguous and not x.flags.writeable
+    # the full check accepts the product, within the bound the product carries
+    assert checked._tp_dev <= ab._tp_dev <= channels.TOL_CPTP
+
+
 def test_padded_erasure_fully_erases_pad():
     ch = padded_erasure(1, Fraction(1, 4), 2)
     assert ch.in_layout.dims == (2, 2)

@@ -36,7 +36,11 @@ at 25 samples and seed 0 at one sample were recorded while each sampled
 ensemble still went through its own kernel call, with its states built
 one by one. The `bounds theorem --n 7` JSON and the `sweep bounds --n 8
 --k 2:5` CSV were recorded while each theorem row still held its values
-as Fractions and printed them through `str`.
+as Fractions and printed them through `str`. The `verify lemma2-appendix`
+files for seed 11 at 120001 samples (Monte Carlo chunks of 50000, 50000
+and 20001) and seed 3 at 65 samples were recorded while the Haar
+Monte Carlo still orthonormalised every column of each sample and the
+entropy-gap states still went through one eigvalsh each.
 """
 
 import json
@@ -86,6 +90,12 @@ CASES = [
         ["verify", "lemma3", "--seed", str(seed), "--samples", str(samples)],
     )
     for seed, samples in ((7, 25), (0, 1))
+] + [
+    (
+        f"verify_lemma2_appendix_seed{seed}_samples{samples}.txt",
+        ["verify", "lemma2-appendix", "--seed", str(seed), "--samples", str(samples)],
+    )
+    for seed, samples in ((11, 120001), (3, 65))
 ]
 
 

@@ -179,6 +179,62 @@ def test_lemma3_makes_one_kernel_call_per_block_layout(monkeypatch):
     assert len(layouts) == len(set(layouts)) <= 9
 
 
+def test_lemma2_makes_one_eigvalsh_call_per_dimension(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert verify.run_lemma2_appendix(0, 64).passed
+    stacks = [s for s in shapes if len(s) == 3]
+    assert sorted(s[1:] for s in stacks) == [(2, 2), (3, 3), (4, 4)]
+    assert sum(s[0] for s in stacks) == 200
+    # the rest: the rank-2 special's own PSD check and the Q(I/2) identity
+    assert len(shapes) == len(stacks) + 2
+
+
+def _per_state_gap_states(seed):
+    """lemma2-appendix's entropy-gap states as DensityOperators, each drawn
+    by its own call, in the order of the suite."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    states = [max_mixed(2), max_mixed(3), max_mixed(4)]
+    states.append(qcore.random_pure((3,), rng).to_density())
+    states.append(DensityOperator(SystemLayout((3,)), np.diag([0.5, 0.5, 0.0]).astype(complex)))
+    return states + [qcore.random_density((2 + i % 3,), rng) for i in range(195)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lemma2_entropy_gaps_equal_the_per_state_values(seed):
+    states = _per_state_gap_states(seed)
+    stacks = verify._gap_states(seed)
+    assert list(stacks) == [2, 3, 4]
+    for d, mats in stacks.items():
+        rhos = [rho for rho in states if rho.dim == d]
+        # one standard_normal call continues the stream as the per-state calls
+        assert mats.tobytes() == np.array([rho.matrix for rho in rhos]).tobytes()
+        want = [qcore.von_neumann_entropy(rho) - iq.subentropy(rho) for rho in rhos]
+        assert verify._entropy_gaps(mats).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [
+        (lambda m: m.__setitem__((1, 0, 0), m[1, 0, 0] + 1e-6), "input state trace deviates"),
+        (lambda m: m.__setitem__((1, 0, 1), m[1, 0, 1] + 1e-6), "input state is not Hermitian"),
+        (lambda m: m.__setitem__(1, np.diag([1.0 + 1e-6, -1e-6])), "minimum eigenvalue"),
+    ],
+)
+def test_entropy_gaps_check_their_states(spoil, message):
+    mats = verify._gap_states(0)[2]
+    verify._entropy_gaps(mats)
+    spoil(mats)
+    with pytest.raises(ValueError, match=message):
+        verify._entropy_gaps(mats)
+
+
 def test_private_value_vanishes_at_half():
     ch = erasure_channel(Fraction(1, 2), 2)
     assert iq.private_value(ch, _computational_ensemble()).value == pytest.approx(
@@ -680,7 +736,7 @@ HAAR_BITS_EINSUM = {
 
 # the same, with the probabilities contracted through rho's rank factor: a
 # pure state's are unchanged bit for bit, the mixed state's move last bits
-HAAR_BITS = {
+HAAR_BITS_FACTOR = {
     **HAAR_BITS_EINSUM,
     ("mixed3", 64): [
         ("0x1.8fd313ba3cab6p+0", "0x1.237ef409f0c41p-9"),
@@ -697,6 +753,36 @@ HAAR_BITS = {
 }
 
 
+# the same, with the last outcome's probability taken as the trace minus the
+# others', from the first d-1 columns of each unitary: last bits move
+HAAR_BITS = {
+    ("pure", 64): [
+        ("0x1.68eb0613bc60bp-1", "0x1.3437e715fd8d1p-5"),
+        ("0x1.806d653075fe7p-1", "0x1.ee648318ff092p-6"),
+        ("0x1.87217f787a65fp-1", "0x1.cf310affd1b2cp-6"),
+        ("0x1.6bd4c378e8234p-1", "0x1.3b3b9ce623d89p-5"),
+    ],
+    ("pure", 200000): [
+        ("0x1.717ed8a9d2c2cp-1", "0x1.3cb686db906c6p-11"),
+        ("0x1.70e9149f97137p-1", "0x1.3d6eb3458366fp-11"),
+        ("0x1.705b55db790bep-1", "0x1.3d1e0b9c767aep-11"),
+        ("0x1.70d5ce587bad2p-1", "0x1.3d449ceb9dd43p-11"),
+    ],
+    ("mixed3", 64): [
+        ("0x1.8fd313ba3cab6p+0", "0x1.237ef409f0c3dp-9"),
+        ("0x1.8f92a93c63713p+0", "0x1.2643164031244p-9"),
+        ("0x1.8f4b9001dd0f5p+0", "0x1.37404ebd85426p-9"),
+        ("0x1.8e30622767134p+0", "0x1.2ce91c1f0239ep-9"),
+    ],
+    ("mixed3", 200000): [
+        ("0x1.8f535b34e7d73p+0", "0x1.68cabff235031p-15"),
+        ("0x1.8f4d706d2a5fbp+0", "0x1.691ebc10b9c56p-15"),
+        ("0x1.8f4eacb626a8fp+0", "0x1.69073a281d9e2p-15"),
+        ("0x1.8f5130ff53f30p+0", "0x1.68920050e5ae9p-15"),
+    ],
+}
+
+
 @pytest.mark.parametrize("state,samples", list(HAAR_BITS), ids=lambda v: str(v))
 def test_haar_measured_entropy_bits_are_pinned(state, samples):
     rho = {
@@ -705,7 +791,7 @@ def test_haar_measured_entropy_bits_are_pinned(state, samples):
     }[state]
     got = [iq.haar_measured_entropy(rho, samples, seed) for seed in range(4)]
     assert [(m.hex(), se.hex()) for m, se in got] == HAAR_BITS[state, samples]
-    for table in (HAAR_BITS_EINSUM, HAAR_BITS_QR):
+    for table in (HAAR_BITS_FACTOR, HAAR_BITS_EINSUM, HAAR_BITS_QR):
         old = [float.fromhex(h) for pair in table[state, samples] for h in pair]
         assert [abs(g - q) <= 1e-12 * abs(q) for g, q in zip(np.ravel(got), old)] == [True] * 8
 
@@ -719,19 +805,24 @@ def _einsum_measured_entropy(rho, samples, seed):
     return float(np.mean(ent)), float(np.std(ent, ddof=1) / math.sqrt(samples))
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_haar_measured_entropy_matches_the_einsum_contraction(d):
+    # the last outcome's probability is the trace minus the others', so
+    # even a pure state's values move in their last bits; at d = 1 the one
+    # outcome is the trace, of entropy 0 exactly, while the einsum's |u|^2
+    # reads a rounding off 1
     rng = np.random.default_rng(40 + d)
     states = {
         "pure": basis_state(d, d - 1).to_density(),
         "full": qcore.random_density((d,), rng),
-        "rank-deficient": qcore.random_density((d,), rng, rank=d - 1),
     }
-    for name, rho in states.items():
+    if d > 1:
+        states["rank-deficient"] = qcore.random_density((d,), rng, rank=d - 1)
+    for rho in states.values():
         got = iq.haar_measured_entropy(rho, 3000, d)
         want = _einsum_measured_entropy(rho, 3000, d)
-        if name == "pure":
-            assert got == want
+        if d == 1:
+            assert got == (0.0, 0.0) and want == pytest.approx(got, rel=0, abs=1e-15)
         else:
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 

@@ -208,6 +208,33 @@ def test_haar_unitaries_match_qr_with_phase_fix(d, count):
     assert np.max(np.abs(np.einsum("sji,sjk->sik", u.conj(), u) - np.eye(d))) <= 1e-14
 
 
+def _haar_from_sum(d, count, rng):
+    """haar_unitaries' Gram-Schmidt on the draws summed as a + 1j*b."""
+    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    for j in range(d):
+        col, done = g[:, :, j], g[:, :, :j]
+        for _ in range(2 if j else 0):
+            col -= np.einsum("sak,sk->sa", done, np.einsum("sak,sa->sk", done.conj(), col))
+        col /= np.linalg.norm(col, axis=1)[:, None]
+    return g
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_haar_unitaries_columns_are_those_of_the_full_draw(d):
+    # the in-place draw is the sum a + 1j*b bit for bit, and Gram-Schmidt
+    # step j reads only the columns before it
+    full = qcore.haar_unitaries(d, 500, np.random.default_rng(d))
+    assert full.tobytes() == _haar_from_sum(d, 500, np.random.default_rng(d)).tobytes()
+    for k in range(d + 1):
+        rng = np.random.default_rng(d)
+        part = qcore.haar_unitaries(d, 500, rng, columns=k)
+        assert part.shape == (500, d, k)
+        assert part.tobytes() == full[:, :, :k].tobytes()
+        # every draw is made whatever k is, so the stream goes on alike
+        after = np.random.default_rng(d).standard_normal(2 * 500 * d * d + 1)[-1]
+        assert rng.standard_normal() == after
+
+
 def test_random_density_rank_control():
     rng = np.random.default_rng(9)
     rho = qcore.random_density((4,), rng, rank=2)
