@@ -28,10 +28,11 @@ Kraus blocks, and one product every state's block. The work scales with
 the rank of the inputs and the size of the blocks, and both products run
 in BLAS. A channel output has one form, the kernel's: one read-only
 (g, m, s, s) stack per block, in block order, checked as a DensityOperator
-would be. `apply` and `apply_ensemble` are the family of one channel;
-verify's lemma3 makes one call per layout for all its sampled channels
-(infoquant.holevo_bob_family). The dense out_dim x out_dim matrix is
-never formed.
+would be (qcore.check_states). `apply` is the family of one channel on one
+state, infoquant's Holevo quantities the family of one channel on an
+ensemble's states, and verify's lemma3 makes one call per layout for all
+its sampled channels (infoquant.holevo_bob_family). The dense
+out_dim x out_dim matrix is never formed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from . import as_fraction
-from .qcore import TOL_HERMITIAN, TOL_TRACE, DensityOperator, SystemLayout, check_dim, layout_of
+from .qcore import DensityOperator, SystemLayout, check_dim, check_states, layout_of
 
 TOL_CPTP = 1e-9
 
@@ -138,46 +139,6 @@ class QuantumChannel:
         return self.out_layout.total
 
 
-def _check_states(blocks, block: str = "output block", state: str = "output") -> None:
-    """Raise ValueError unless the states held in `blocks`, one (m, s, s)
-    stack per block, pass the checks a DensityOperator makes: every block
-    Hermitian within TOL_HERMITIAN, and the block traces of each of the m
-    states summing to 1 within TOL_TRACE. `block` and `state` name a block
-    and a whole state in the messages."""
-    herm = float(max((abs(b - b.conj().swapaxes(-1, -2)).max() for b in blocks), default=0.0))
-    if herm > TOL_HERMITIAN:
-        raise ValueError(f"{block} is not Hermitian (deviation {herm:.3e})")
-    dev = float(np.max(np.abs(sum(b.trace(axis1=-2, axis2=-1) for b in blocks) - 1.0)))
-    if dev > TOL_TRACE:
-        raise ValueError(f"{state} trace deviates from 1 by {dev:.3e}")
-
-
-@dataclass(frozen=True)
-class CqEnsemble:
-    """Classical-quantum ensemble: (probability, state) pairs on one layout."""
-
-    items: tuple[tuple[float, DensityOperator], ...]
-
-    def __post_init__(self):
-        items = tuple((float(p), rho) for p, rho in self.items)
-        object.__setattr__(self, "items", items)
-        if not items:
-            raise ValueError("ensemble needs at least one item")
-        probs = [p for p, _ in items]
-        if min(probs) < 0:
-            raise ValueError("ensemble probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"ensemble probabilities sum to {sum(probs)!r}")
-        dims0 = items[0][1].layout.dims
-        for _, rho in items[1:]:
-            if rho.layout.dims != dims0:
-                raise ValueError("ensemble states must share one layout")
-
-    @property
-    def layout(self) -> SystemLayout:
-        return self.items[0][1].layout
-
-
 # ---------------------------------------------------------------------------
 # application and complement
 
@@ -211,7 +172,7 @@ def _apply_factors(family, mats: np.ndarray) -> list[np.ndarray]:
     """The outputs of a family of g channels of one block layout (else
     ValueError), channel i on the states mats[i] of a (g, m, in_dim, in_dim)
     stack, as one read-only (g, m, len(rows), len(rows)) stack per block, in
-    block order, checked by _check_states.
+    block order, checked by qcore.check_states.
 
     With every state factored by rank_factors into a diag(s) a^dag, the
     images W[r, (k, j)] = (K_k a_j)[r] come from one matmul call per block
@@ -240,7 +201,7 @@ def _apply_factors(family, mats: np.ndarray) -> list[np.ndarray]:
         block = w.reshape(g, m, n, -1) @ ws.reshape(g, m, n, -1).swapaxes(-1, -2)
         block.setflags(write=False)
         out.append(block)
-    _check_states(out)
+    check_states(out)
     return out
 
 
@@ -249,12 +210,6 @@ def apply(ch: QuantumChannel, rho: DensityOperator) -> list[np.ndarray]:
     the kernel _apply_factors on one channel and one state, so one
     read-only (1, len(rows), len(rows)) stack per block of ch."""
     return [b[0] for b in _apply_factors([ch], rho.matrix[None, None])]
-
-
-def apply_ensemble(ch: QuantumChannel, ens: CqEnsemble) -> list[np.ndarray]:
-    """The outputs of every state of ens from one call of the kernel, as one
-    read-only (len(ens.items), len(rows), len(rows)) stack per block of ch."""
-    return [b[0] for b in _apply_factors([ch], np.array([[rho.matrix for _, rho in ens.items]]))]
 
 
 def complementary(ch: QuantumChannel) -> QuantumChannel:

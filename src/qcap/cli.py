@@ -161,16 +161,21 @@ def _load_state(path: str):
 
 
 def _load_ensemble(path: str):
-    from . import channels as qch
+    """The ensemble of a JSON {"items": [{"p": ..., "state": ...}, ...]}:
+    each member read as a checked DensityOperator, at least one member, and
+    every member on one layout, then the weights checked by CqEnsemble."""
+    from . import qcore
 
     obj = _load_json_file(path)
     try:
-        raw = obj["items"]
-        items = tuple(
-            (float(as_fraction(it["p"])), _state_from_obj(it["state"], path))
-            for it in raw
-        )
-        return qch.CqEnsemble(items)
+        items = [(float(as_fraction(it["p"])), _state_from_obj(it["state"], path))
+                 for it in obj["items"]]
+        if not items:
+            raise ValueError("ensemble needs at least one item")
+        layout = items[0][1].layout
+        if any(rho.layout != layout for _, rho in items):
+            raise ValueError("ensemble states must share one layout")
+        return qcore.CqEnsemble(layout, [p for p, _ in items], [rho.matrix for _, rho in items])
     except DataError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

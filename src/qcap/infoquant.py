@@ -24,8 +24,8 @@ import numpy as np
 
 from . import as_fraction, qcore
 from . import channels as qch
-from .channels import CqEnsemble, QuantumChannel
-from .qcore import DensityOperator, PureState
+from .channels import QuantumChannel
+from .qcore import CqEnsemble, DensityOperator
 
 MAX_BRUTE_DIM = 8
 
@@ -100,9 +100,7 @@ def _holevo(probs: np.ndarray, blocks: list[np.ndarray]) -> tuple:
 
 
 def _holevo_result(ch: QuantumChannel, ens: CqEnsemble, side: str) -> InfoResult:
-    probs = np.array([[p for p, _ in ens.items]])
-    states = np.array([[rho.matrix for _, rho in ens.items]])
-    h_avg, h_cond, resid = _holevo(probs, qch._apply_factors([ch], states))
+    h_avg, h_cond, resid = _holevo(ens.probs[None], qch._apply_factors([ch], ens.states[None]))
     h_avg, h_cond = float(h_avg[0]), float(h_cond[0])
     label = f"I(X;{side})"
     return InfoResult(
@@ -124,20 +122,18 @@ def holevo_eve(ch: QuantumChannel, ens: CqEnsemble) -> InfoResult:
 
 def holevo_bob_family(channels, probs, states) -> np.ndarray:
     """I(X;B) of channel i on the states[i] (n, d, d) at weights probs[i],
-    for each i, checked as CqEnsemble and DensityOperator check theirs: one
-    kernel call per block layout, values in input order."""
+    for each i: one kernel call per block layout, values in input order.
+    The weights and states pass the check a CqEnsemble makes
+    (qcore.check_ensemble: weights >= 0 summing to 1 per row, states
+    Hermitian and of unit trace); their eigenvalue floor is not checked,
+    since the caller builds them positive."""
     probs = np.asarray(probs, dtype=np.float64)
     states = np.asarray(states, dtype=np.complex128)
     if probs.ndim != 2 or states.shape[:2] != probs.shape or len(channels) != len(probs):
         raise ValueError("need one weight row and one state stack per channel")
     if not len(channels):
         return np.empty(0)
-    if np.any(probs < 0):
-        raise ValueError("ensemble probabilities must be nonnegative")
-    dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-    if dev > 1e-9:
-        raise ValueError(f"ensemble probabilities miss a sum of 1 by {dev:.3e}")
-    qch._check_states([states], block="input state", state="input state")
+    qcore.check_ensemble(probs, states)
     groups: dict[tuple, list[int]] = {}
     for i, ch in enumerate(channels):
         groups.setdefault(qch._layout(ch), []).append(i)
@@ -363,12 +359,16 @@ def minimize(fun, x0s: np.ndarray, maxiter: int) -> MinimizeResult:
 
 
 def _ensemble(layout, a: np.ndarray) -> CqEnsemble:
-    """The pure ensemble of the columns of a, less those of weight < 1e-12."""
+    """The pure ensemble of the columns of a, less those of weight < 1e-12:
+    the members |psi_x><psi_x| of the normalised columns psi_x, each of
+    unit norm (qcore.check_unit_norm), from one product."""
     n_x = np.sum((a.conj() * a).real, axis=0)
     keep = [x for x in range(a.shape[1]) if n_x[x] / n_x.sum() >= 1e-12]
     total = sum(n_x[x] for x in keep)
-    states = [PureState(layout, a[:, x] / math.sqrt(n_x[x])).to_density() for x in keep]
-    return CqEnsemble(tuple((n_x[x] / total, rho) for x, rho in zip(keep, states)))
+    psi = (a[:, keep] / np.sqrt(n_x[keep])).T
+    qcore.check_unit_norm(psi)
+    states = psi[:, :, None] * psi[:, None, :].conj()
+    return CqEnsemble(layout, [n_x[x] / total for x in keep], states)
 
 
 def _starts(din: int, cfg: OptimizerConfig) -> np.ndarray:
@@ -480,16 +480,14 @@ def witness_coherent_info(
     erasure = qch.erasure_channel(p, d)
 
     # paired groups: (I/d on a1) x (Phi+ across a2 and the next use's data)
-    pair_state = qcore.tensor(qcore.max_mixed(d), qcore.max_entangled(d).to_density())
+    pair_state = qcore.tensor(qcore.max_mixed(d), qcore.max_entangled(d))
     accumulate(qch.tensor_channels(rocket, erasure), pair_state, m)
     # unpaired rockets, unpaired erasure data registers, and the pads all
     # carry fixed pure product inputs
-    sigma2 = qcore.tensor(
-        qcore.basis_state(d, 0).to_density(), qcore.basis_state(d, 0).to_density()
-    )
+    sigma2 = qcore.tensor(qcore.basis_state(d, 0), qcore.basis_state(d, 0))
     accumulate(rocket, sigma2, n - m)
-    accumulate(erasure, qcore.basis_state(d, 0).to_density(), (j - 1) - m)
-    accumulate(qch.erasure_channel(1, pad_dim), qcore.basis_state(pad_dim, 0).to_density(), j - 1)
+    accumulate(erasure, qcore.basis_state(d, 0), (j - 1) - m)
+    accumulate(qch.erasure_channel(1, pad_dim), qcore.basis_state(pad_dim, 0), j - 1)
     # pinned flags pass through the switch deterministically and contribute
     # zero entropy on both sides
 

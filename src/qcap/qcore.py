@@ -3,6 +3,12 @@
 States live on a SystemLayout (an ordered tuple of subsystem dimensions);
 matrices are plain numpy complex128 arrays in row-major order. All entropies
 are in bits.
+
+A state has one form, the DensityOperator; a pure state is its rank-one
+case (pure_state). An ensemble has one form, the CqEnsemble's weights and
+stacked states. The checks on both live here, beside their tolerances,
+one function per concept: check_states (Hermitian, unit trace),
+check_eigenvalue_floor, check_unit_norm and check_ensemble (the weights).
 """
 
 from __future__ import annotations
@@ -97,39 +103,58 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Normalized state vector on a layout."""
+def check_states(blocks, block: str = "output block", state: str = "output") -> None:
+    """Raise ValueError unless the states held in `blocks`, one (..., m, s, s)
+    stack per block, are Hermitian within TOL_HERMITIAN block by block and
+    have block traces that sum to 1 within TOL_TRACE for each of the m
+    states. A whole matrix is one block of one state. `block` and `state`
+    name a block and a whole state in the messages."""
+    herm = float(max((abs(b - b.conj().swapaxes(-1, -2)).max() for b in blocks), default=0.0))
+    if herm > TOL_HERMITIAN:
+        raise ValueError(f"{block} is not Hermitian (deviation {herm:.3e})")
+    dev = float(np.max(np.abs(sum(b.trace(axis1=-2, axis2=-1) for b in blocks) - 1.0)))
+    if dev > TOL_TRACE:
+        raise ValueError(f"{state} trace deviates from 1 by {dev:.3e}")
 
-    layout: SystemLayout
-    amplitudes: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "layout", layout_of(self.layout))
-        v = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if v.size != self.layout.total:
-            raise ValueError(
-                f"amplitude count {v.size} does not match layout total {self.layout.total}"
-            )
-        n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > 1e-10:
-            raise ValueError(f"norm deviates from 1 by {abs(n - 1.0):.3e}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
+def check_eigenvalue_floor(w) -> None:
+    """Raise ValueError if a spectrum of the stack w (..., n), each in
+    ascending order as eigvalsh returns it, dips below -TOL_EIG."""
+    low = float(np.min(w[..., 0]))
+    if low < -TOL_EIG:
+        raise ValueError(f"minimum eigenvalue {low:.3e} below -1e-9")
 
-    def to_density(self) -> "DensityOperator":
-        v = self.amplitudes
-        return DensityOperator(self.layout, np.outer(v, v.conj()), check_psd=False)
+
+def check_unit_norm(v) -> None:
+    """Raise ValueError unless every vector along the last axis of v has
+    norm 1 within 1e-10."""
+    dev = float(np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0), initial=0.0))
+    if dev > 1e-10:
+        raise ValueError(f"norm deviates from 1 by {dev:.3e}")
+
+
+def check_ensemble(probs: np.ndarray, states: np.ndarray) -> None:
+    """Raise ValueError unless the (g, n) weights probs and the (g, n, d, d)
+    states form g ensembles: every weight >= 0, each row summing to 1
+    within 1e-9, and every state Hermitian and of unit trace
+    (check_states). The eigenvalue floor is not checked here: states that
+    enter from outside are DensityOperators, which check it."""
+    if np.any(probs < 0):
+        raise ValueError("ensemble probabilities must be nonnegative")
+    dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    if dev > 1e-9:
+        raise ValueError(f"ensemble probabilities miss a sum of 1 by {dev:.3e}")
+    check_states([states], block="input state", state="input state")
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive unit-trace operator on a layout.
+    """Positive unit-trace operator on a layout: Hermitian and of unit trace
+    (check_states), and with no eigenvalue below -TOL_EIG.
 
     check_psd=False skips the O(d^3) eigenvalue floor check for matrices
-    that are positive by construction (channel outputs, tensor products);
-    Hermiticity and trace are always verified.
+    that are positive by construction (channel outputs, tensor products,
+    pure states); Hermiticity and trace are always verified.
     """
 
     layout: SystemLayout
@@ -143,16 +168,9 @@ class DensityOperator:
             raise ValueError(
                 f"matrix dimension {m.shape[0]} does not match layout total {self.layout.total}"
             )
-        herm = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if herm > TOL_HERMITIAN:
-            raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        check_states([m], block="matrix", state="matrix")
         if self.check_psd and m.shape[0] > 1:
-            w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-            if w[0] < -TOL_EIG:
-                raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -1e-9")
+            check_eigenvalue_floor(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -162,17 +180,52 @@ class DensityOperator:
         return self.layout.total
 
 
+@dataclass(frozen=True)
+class CqEnsemble:
+    """Classical-quantum ensemble on one layout: read-only weights probs
+    (n,) and states (n, d, d), d the layout's total, checked by
+    check_ensemble."""
+
+    layout: SystemLayout
+    probs: np.ndarray = field(repr=False)
+    states: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layout", layout_of(self.layout))
+        probs = np.array(self.probs, dtype=np.float64)
+        states = np.array(self.states, dtype=np.complex128)
+        d = self.layout.total
+        if probs.ndim != 1 or states.shape != (len(probs), d, d):
+            raise ValueError(f"need one weight and one {d} x {d} state per member")
+        check_ensemble(probs[None], states[None])
+        for a in (probs, states):
+            a.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "states", states)
+
+
 def max_mixed(dims) -> DensityOperator:
     lay = layout_of(dims)
     d = lay.total
     return DensityOperator(lay, np.eye(d, dtype=np.complex128) / d, check_psd=False)
 
 
-def basis_state(dims, index: int) -> PureState:
+def pure_state(dims, v) -> DensityOperator:
+    """|v><v| on a layout, for an amplitude vector v of the layout's total
+    length and of unit norm (check_unit_norm)."""
+    lay = layout_of(dims)
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    if v.size != lay.total:
+        raise ValueError(f"amplitude count {v.size} does not match layout total {lay.total}")
+    check_unit_norm(v)
+    return DensityOperator(lay, np.outer(v, v.conj()), check_psd=False)
+
+
+def basis_state(dims, index: int) -> DensityOperator:
     lay = layout_of(dims)
     v = np.zeros(lay.total, dtype=np.complex128)
     v[index] = 1.0
-    return PureState(lay, v)
+    return pure_state(lay, v)
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -204,41 +257,27 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(SystemLayout(kept_dims), a.reshape(total, total), check_psd=False)
 
 
-def spectrum_entropy(w):
-    """-sum(lam log2 lam) in bits of a spectrum or probability vector,
-    entries clipped to [0, 1].
-
-    A 1-D input gives a float, summed over its positive entries only. A
-    stack of shape (..., n) gives one entropy per row, as an array: the
-    logs of the entries <= 0 are filled with zeros, so every row sums over
-    all n entries. Below 8 entries per row the two forms agree bit for bit
-    (numpy's pairwise sum adds fewer than 8 terms in order, and a zero term
-    changes nothing); from 8 entries on, the zeros shift its partial sums.
+def spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum(lam log2 lam) in bits of each spectrum or probability vector in
+    a stack of shape (..., n), entries clipped to [0, 1], as an array of
+    shape (...). The logs of the entries <= 0 are filled with zeros, so
+    every row sums over all n entries; below 8 entries a row's sum is bit
+    for bit the sum over its positive entries alone (numpy's pairwise sum
+    adds fewer than 8 terms in order, and a zero term changes nothing).
     """
     lam = np.clip(w, 0.0, 1.0)
-    if lam.ndim == 1:
-        nz = lam[lam > 0.0]
-        return float(-np.sum(nz * np.log2(nz)))
     logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
     return -np.sum(lam * logs, axis=-1)
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """H(rho) = -sum(lam log2 lam) in bits, eigenvalues clipped to [0, 1]."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    if w[0] < -TOL_EIG:
-        raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -1e-9")
-    return spectrum_entropy(w)
-
-
-def max_entangled(d: int) -> PureState:
+def max_entangled(d: int) -> DensityOperator:
     """|Phi+> = (1/sqrt(d)) sum_i |ii> on layout [d, d]."""
     if d < 2:
         raise ValueError(f"maximally entangled state needs d >= 2, got {d}")
     amp = np.zeros(d * d, dtype=np.complex128)
     for i in range(d):
         amp[i * d + i] = 1.0 / math.sqrt(d)
-    return PureState(SystemLayout((d, d)), amp)
+    return pure_state(SystemLayout((d, d)), amp)
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +319,8 @@ def haar_unitaries(
     return g
 
 
-def random_pure(dims, rng: np.random.Generator) -> PureState:
+def random_pure(dims, rng: np.random.Generator) -> DensityOperator:
     lay = layout_of(dims)
     v = rng.standard_normal(lay.total) + 1j * rng.standard_normal(lay.total)
-    return PureState(lay, v / np.linalg.norm(v))
+    return pure_state(lay, v / np.linalg.norm(v))
 
-
-def random_density(dims, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    """Wishart-style random state: GG*/tr(GG*) with G of shape (d, rank)."""
-    lay = layout_of(dims)
-    d = lay.total
-    if rank is None:
-        rank = d
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityOperator(lay, m, check_psd=False)

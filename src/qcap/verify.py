@@ -53,9 +53,10 @@ def _child_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
 
 
-def _flag_mass(ens: qch.CqEnsemble, component: int) -> float:
+def _flag_mass(ens: qcore.CqEnsemble, component: int) -> float:
     total = 0.0
-    for p, rho in ens.items:
+    for p, m in zip(ens.probs.tolist(), ens.states):
+        rho = qcore.DensityOperator(ens.layout, m, check_psd=False)
         flag = qcore.partial_trace(rho, keep=[0])
         total += p * float(flag.matrix[component, component].real)
     return total
@@ -70,15 +71,8 @@ def run_lemma1(seed: int) -> SuiteResult:
     target = 0.8  # 1 - 2p of the better component
 
     lay = sw.in_layout
-    pinned = qch.CqEnsemble(
-        tuple(
-            (0.5, qcore.PureState(lay, vec).to_density())
-            for vec in (
-                np.kron([1, 0], [1, 0]).astype(complex),
-                np.kron([1, 0], [0, 1]).astype(complex),
-            )
-        )
-    )
+    # flag 0, data |0> and |1>
+    pinned = qcore.CqEnsemble(lay, [0.5, 0.5], [qcore.basis_state(lay, i).matrix for i in (0, 1)])
     v_pinned = iq.private_value(sw, pinned).value
     checks = [
         Check(
@@ -111,15 +105,16 @@ def run_lemma1(seed: int) -> SuiteResult:
 def _gap_states(seed: int) -> dict[int, np.ndarray]:
     """lemma2-appendix's entropy-gap states, as one (n, d, d) stack per
     dimension d = 2, 3, 4, each in draw order: the specials (the maximally
-    mixed states, a random pure qutrit, a rank-2 qutrit), then the 195
-    Wishart states that qcore.random_density draws for dimensions 2 + (i %
-    3) in turn. All of the Wishart draws come from one standard_normal call,
-    which continues the generator's stream exactly as the per-state calls
-    do, and each dimension's states from one batched g g^dag and one trace
-    normalisation."""
+    mixed states, a random pure qutrit, a rank-2 qutrit), then 195 Wishart
+    states g g^dag / tr(g g^dag), g a d x d complex Gaussian draw (its
+    real, then its imaginary parts), for dimensions d = 2 + (i % 3) in
+    turn. All of the Wishart draws come from one standard_normal call,
+    which continues the generator's stream exactly as one call per state
+    would, and each dimension's states from one batched g g^dag and one
+    trace normalisation."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     specials = [qcore.max_mixed(2), qcore.max_mixed(3), qcore.max_mixed(4)]
-    specials.append(qcore.random_pure((3,), rng).to_density())
+    specials.append(qcore.random_pure((3,), rng))
     specials.append(
         qcore.DensityOperator(
             qcore.SystemLayout((3,)), np.diag([0.5, 0.5, 0.0]).astype(complex)
@@ -143,14 +138,12 @@ def _gap_states(seed: int) -> dict[int, np.ndarray]:
 def _entropy_gaps(mats: np.ndarray) -> np.ndarray:
     """H(rho) - Q(rho), entropy minus subentropy, for each state of a
     (n, d, d) stack, from one eigvalsh over the stack. The states are
-    checked as DensityOperator and von_neumann_entropy check one: Hermitian
-    and of unit trace (channels._check_states), and no eigenvalue below
-    -1e-9."""
-    qch._check_states([mats], block="input state", state="input state")
+    checked as a DensityOperator checks one: Hermitian and of unit trace
+    (qcore.check_states), and no eigenvalue below -1e-9
+    (qcore.check_eigenvalue_floor)."""
+    qcore.check_states([mats], block="input state", state="input state")
     w = np.linalg.eigvalsh(mats)
-    low = float(np.min(w[:, 0]))
-    if low < -qcore.TOL_EIG:
-        raise ValueError(f"minimum eigenvalue {low:.3e} below -1e-9")
+    qcore.check_eigenvalue_floor(w)
     h = qcore.spectrum_entropy(w)
     return h - np.array([iq.spectrum_subentropy(row) for row in w])
 
@@ -203,7 +196,7 @@ def run_lemma2_appendix(seed: int, samples: int | None) -> SuiteResult:
         )
     )
 
-    pure = qcore.basis_state(2, 0).to_density()
+    pure = qcore.basis_state(2, 0)
     mean, se = iq.haar_measured_entropy(pure, mc_samples, _child_seed(seed, 4))
     target = log2e / 2
     ok = se > 0 and abs(mean - target) <= 3 * se
@@ -255,9 +248,7 @@ def run_lemma3(seed: int, samples: int | None) -> SuiteResult:
     z = np.reshape(normals, (count, 3, 2, 4))
     v = z[:, :, 0] + 1j * z[:, :, 1]
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    dev = float(np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0), initial=0.0))
-    if dev > 1e-10:
-        raise ValueError(f"norm deviates from 1 by {dev:.3e}")
+    qcore.check_unit_norm(v)
     states = v[..., :, None] * v[..., None, :].conj()
     vals = iq.holevo_bob_family(chans, np.reshape(weights, (count, 3)), states)
     bound = np.array(bound)

@@ -1,9 +1,13 @@
 """Dense oracles the tests check the program against: the whole j-use
 witness input as one density matrix, and the tensor and subsystem-permutation
-helpers that build it. The program evaluates the witness group by group
-(infoquant.witness_coherent_info) and never forms this state; these
-helpers exist so that the factored route can be compared with a full
-evaluation at tiny dimensions."""
+helpers that build it; the von Neumann entropy of one state; and one
+Wishart-style random state per call. The program evaluates the witness
+group by group (infoquant.witness_coherent_info) and never forms this
+state; these helpers exist so that the factored route can be compared with
+a full evaluation at tiny dimensions. The program takes entropies of
+stacked spectra only and draws its Wishart states in one batch
+(verify._gap_states); von_neumann_entropy and random_density are the
+per-state references, and random_density keeps the seeded tests' draws."""
 
 from __future__ import annotations
 
@@ -12,7 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcap import qcore
-from qcap.qcore import DensityOperator, SystemLayout
+from qcap.qcore import DensityOperator, SystemLayout, layout_of
+
+
+def von_neumann_entropy(rho: DensityOperator) -> float:
+    """H(rho) = -sum(lam log2 lam) in bits, eigenvalues clipped to [0, 1]."""
+    w = np.linalg.eigvalsh(rho.matrix)
+    if w[0] < -qcore.TOL_EIG:
+        raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -1e-9")
+    return float(qcore.spectrum_entropy(w[None])[0])
+
+
+def random_density(dims, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
+    """Wishart-style random state: GG*/tr(GG*) with G of shape (d, rank)."""
+    lay = layout_of(dims)
+    d = lay.total
+    if rank is None:
+        rank = d
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return DensityOperator(lay, m, check_psd=False)
 
 
 def tensor_all(*ops: DensityOperator) -> DensityOperator:
@@ -63,22 +87,19 @@ def witness_state(n: int, d: int, j: int) -> tuple[DensityOperator, WitnessLayou
         names.extend(name_list)
         factors.append(rho)
 
-    add(["use1.flag"], qcore.basis_state(2, 0).to_density())
+    add(["use1.flag"], qcore.basis_state(2, 0))
     for k in range(1, n + 1):
         if k <= m:
             add([f"use1.rocket{k}.a1"], qcore.max_mixed(d))
-            add(
-                [f"use1.rocket{k}.a2", f"use{k + 1}.data"],
-                qcore.max_entangled(d).to_density(),
-            )
+            add([f"use1.rocket{k}.a2", f"use{k + 1}.data"], qcore.max_entangled(d))
         else:
-            add([f"use1.rocket{k}.a1"], qcore.basis_state(d, 0).to_density())
-            add([f"use1.rocket{k}.a2"], qcore.basis_state(d, 0).to_density())
+            add([f"use1.rocket{k}.a1"], qcore.basis_state(d, 0))
+            add([f"use1.rocket{k}.a2"], qcore.basis_state(d, 0))
     for u in range(2, j + 1):
-        add([f"use{u}.flag"], qcore.basis_state(2, 1).to_density())
+        add([f"use{u}.flag"], qcore.basis_state(2, 1))
         if u - 1 > m:
-            add([f"use{u}.data"], qcore.basis_state(d, 0).to_density())
-        add([f"use{u}.pad"], qcore.basis_state(pad_dim, 0).to_density())
+            add([f"use{u}.data"], qcore.basis_state(d, 0))
+        add([f"use{u}.pad"], qcore.basis_state(pad_dim, 0))
 
     rho = tensor_all(*factors)
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_oracle import random_density, von_neumann_entropy
 from qcap import infoquant as iq
 from qcap import qcore, verify
 from qcap.bounds import locking_upper, theorem_report
@@ -81,7 +82,8 @@ def test_a4_switch_private_value_flag_pinned():
     val, ens = iq.brute_force_p1(sw, iq.OptimizerConfig(restarts=10, iterations=500, seed=0))
     assert val == pytest.approx(0.8, abs=2e-2)
     mass = sum(
-        p * float(qcore.partial_trace(rho, [0]).matrix[0, 0].real) for p, rho in ens.items
+        p * float(qcore.partial_trace(qcore.DensityOperator(ens.layout, m), [0]).matrix[0, 0].real)
+        for p, m in zip(ens.probs, ens.states)
     )
     assert mass >= 0.95, f"best ensemble leaks off the pinned flag: {mass:.3f}"
 
@@ -92,8 +94,8 @@ def test_a5_locking_value_and_entropy_gap():
     violations = 0
     for i in range(200):
         d = 2 + (i % 3)
-        rho = qcore.random_density((d,), rng)
-        gap = qcore.von_neumann_entropy(rho) - iq.subentropy(rho)
+        rho = random_density((d,), rng)
+        gap = von_neumann_entropy(rho) - iq.subentropy(rho)
         if gap > float(iq.harmonic(d)) * LOG2E + 1e-9:
             violations += 1
     assert violations == 0
@@ -112,9 +114,7 @@ def _lemma2_report_text() -> str:
 
 
 def test_a7_measured_entropy_cross_check():
-    mean, se = iq.haar_measured_entropy(
-        qcore.basis_state(2, 0).to_density(), 200000, seed=0
-    )
+    mean, se = iq.haar_measured_entropy(qcore.basis_state(2, 0), 200000, seed=0)
     assert se > 0
     assert abs(mean - LOG2E / 2) <= 3 * se, f"mean={mean} se={se}"
     assert mean == pytest.approx(0.72135, abs=3 * se)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import random_density
 from qcap import as_fraction, channels, infoquant, qcore
 from qcap.channels import (
     ChannelSpecError,
-    CqEnsemble,
     QuantumChannel,
     apply,
     complementary,
@@ -69,9 +69,9 @@ def _inputs(layout, rng):
     matrix with one eigenvalue at -5e-10, which DensityOperator admits."""
     d = layout.total
     states = [
-        qcore.random_pure(layout, rng).to_density(),
-        qcore.random_density(layout, rng, rank=max(1, d // 2)),
-        qcore.random_density(layout, rng),
+        qcore.random_pure(layout, rng),
+        random_density(layout, rng, rank=max(1, d // 2)),
+        random_density(layout, rng),
     ]
     u = qcore.haar_unitaries(d, 1, rng)[0]
     lam = rng.random(d)
@@ -113,14 +113,14 @@ def test_erasure_channel_structure():
 def test_erasure_action():
     p = Fraction(1, 3)
     ch = erasure_channel(p, 2)
-    out = _output(ch, qcore.basis_state(2, 0).to_density())
+    out = _output(ch, qcore.basis_state(2, 0))
     expect = np.diag([2 / 3, 0, 1 / 3]).astype(complex)
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_identity_channel_is_identity():
     rng = np.random.default_rng(0)
-    rho = qcore.random_density((3,), rng)
+    rho = random_density((3,), rng)
     out = _output(identity_channel(3), rho)
     np.testing.assert_allclose(out, rho.matrix, atol=1e-12)
 
@@ -140,7 +140,7 @@ def test_complement_matches_dilation_marginals():
     # both outputs must be the two marginals of one isometric dilation
     rng = np.random.default_rng(1)
     ch = erasure_channel(Fraction(2, 5), 2)
-    rho = qcore.random_density((2,), rng)
+    rho = random_density((2,), rng)
     v = np.concatenate([k for k in ch.kraus], axis=0)  # stacked isometry E x B
     big = v @ rho.matrix @ v.conj().T
     lay = qcore.SystemLayout((ch.n_kraus, ch.out_dim))
@@ -182,7 +182,7 @@ def test_rocket_identity_ensemble_action():
     # single (I, I) pair: dephase then trace the second register
     ch = rocket_channel(2, "identity")
     plus = np.array([1, 1, 1, 1], dtype=complex) / 2
-    rho = qcore.PureState(qcore.SystemLayout((2, 2)), plus).to_density()
+    rho = qcore.pure_state((2, 2), plus)
     # dephasing kills the off-diagonals linking distinct first-register values
     np.testing.assert_allclose(
         qcore.partial_trace(_dense(ch, rho), [1]).matrix, np.eye(2) / 2, atol=1e-12
@@ -211,9 +211,9 @@ def test_switch_acts_as_selected_component():
     b = erasure_channel(Fraction(2, 5), 2)
     sw = switch_channel([a, b])
     rng = np.random.default_rng(2)
-    data = qcore.random_density((2,), rng)
+    data = random_density((2,), rng)
     for c, comp in enumerate((a, b)):
-        pinned = qcore.tensor(qcore.basis_state(2, c).to_density(), data)
+        pinned = qcore.tensor(qcore.basis_state(2, c), data)
         out = _output(sw, pinned)
         # the component output sits in block c of the enlarged output space
         block = out[
@@ -235,8 +235,8 @@ def test_tensor_channels_compose():
     assert ab.out_layout.dims == (3, 3)
     _assert_cptp(ab)
     rng = np.random.default_rng(4)
-    ra = qcore.random_density((2,), rng)
-    rb = qcore.random_density((3,), rng)
+    ra = random_density((2,), rng)
+    rb = random_density((3,), rng)
     np.testing.assert_allclose(
         _output(ab, qcore.tensor(ra, rb)),
         qcore.tensor(_dense(a, ra), _dense(b, rb)).matrix,
@@ -315,7 +315,7 @@ def test_padded_erasure_fully_erases_pad():
     assert ch.out_layout.dims == (3, 3)
     _assert_cptp(ch)
     rng = np.random.default_rng(6)
-    rho = qcore.random_density((2, 2), rng)
+    rho = random_density((2, 2), rng)
     pad_out = qcore.partial_trace(_dense(ch, rho), [1])
     # everything lands on the erasure flag regardless of input
     np.testing.assert_allclose(pad_out.matrix, np.diag([0, 0, 1.0]), atol=1e-10)
@@ -323,7 +323,7 @@ def test_padded_erasure_fully_erases_pad():
 
 def test_apply_returns_one_block_per_channel_block():
     ch = main_channel(1, Fraction(1, 4), 3)
-    rho = qcore.random_density(ch.in_layout, np.random.default_rng(8), rank=3)
+    rho = random_density(ch.in_layout, np.random.default_rng(8), rank=3)
     out = apply(ch, rho)
     assert [b.shape for b in out] == [(1, len(rows), len(rows)) for rows, _, _ in ch.blocks]
     assert not any(b.flags.writeable for b in out)
@@ -342,14 +342,14 @@ def test_block_output_checks_hermiticity_and_trace_per_block(block):
     # main_channel(1, 1/4, 2): the first rocket label block, and the
     # erasure's data-sent block
     ch = main_channel(1, Fraction(1, 4), 2)
-    rho = qcore.random_density(ch.in_layout, np.random.default_rng(9))
+    rho = random_density(ch.in_layout, np.random.default_rng(9))
     out = apply(ch, rho)
-    channels._check_states(out)  # the output itself passes
+    qcore.check_states(out)  # the output itself passes
 
     def with_block(b):
         blocks = list(out)
         blocks[block] = b
-        channels._check_states(blocks)
+        qcore.check_states(blocks)
 
     skew = np.array(out[block])
     skew[0, 0, 1] += 1e-8
@@ -393,9 +393,9 @@ def _dense_switch_cases():
     for i in range(d):
         erasure_in[d * d + i * d, d * d + i * d] = 1 / d
     erasure_in = qcore.DensityOperator(ch.in_layout, erasure_in)
-    pure_in = qcore.random_pure(ch.in_layout, np.random.default_rng(30)).to_density()
+    pure_in = qcore.random_pure(ch.in_layout, np.random.default_rng(30))
     pair = tensor_channels(rocket_channel(d), erasure_channel(Fraction(1, 4), d))
-    pair_in = qcore.tensor(qcore.max_mixed(d), qcore.max_entangled(d).to_density())
+    pair_in = qcore.tensor(qcore.max_mixed(d), qcore.max_entangled(d))
     return [(ch, erasure_in), (ch, pure_in), (pair, pair_in), (complementary(ch), pure_in)]
 
 
@@ -416,9 +416,9 @@ def _mixed_rank_states(layout, rng):
     v = qcore.haar_unitaries(d, 1, rng)[0]
     lam = np.array([0.5, 0.3, 0.2 + 1e-12] + [0.0] * (d - 4) + [-1e-12])
     return [
-        qcore.random_pure(layout, rng).to_density(),
-        qcore.random_density(layout, rng),
-        qcore.random_density(layout, rng, rank=2),
+        qcore.random_pure(layout, rng),
+        random_density(layout, rng),
+        random_density(layout, rng, rank=2),
         qcore.DensityOperator(layout, (v * lam) @ v.conj().T),
     ]
 
@@ -453,11 +453,11 @@ def test_rank_factors_pad_lower_ranks_with_zero_columns_of_sign_zero():
     ],
     ids=["erasure-pair", "main-complement"],
 )
-def test_apply_ensemble_matches_apply_per_member(make):
+def test_kernel_on_an_ensemble_matches_apply_per_member(make):
     ch = make()
     states = _mixed_rank_states(ch.in_layout, np.random.default_rng(32))
-    ens = CqEnsemble(tuple((0.25, rho) for rho in states))
-    stacks = channels.apply_ensemble(ch, ens)
+    mats = np.array([[rho.matrix for rho in states]])
+    stacks = [b[0] for b in channels._apply_factors([ch], mats)]
     per_member = [[b[0] for b in apply(ch, rho)] for rho in states]
     assert [g.shape for g in stacks] == [(4,) + b.shape for b in per_member[0]]
     for i, blocks in enumerate(per_member):
@@ -469,29 +469,29 @@ def test_apply_ensemble_matches_apply_per_member(make):
     assert not any(g.flags.writeable for g in stacks)
 
 
-def test_apply_ensemble_checks_every_member():
+def test_kernel_checks_every_ensemble_member():
     ch = erasure_channel(Fraction(1, 4), 2)
-    ens = CqEnsemble(tuple((0.5, qcore.basis_state(2, x).to_density()) for x in range(2)))
-    blocks = channels.apply_ensemble(ch, ens)
-    channels._check_states(blocks)
+    members = np.array([[qcore.basis_state(2, x).matrix for x in range(2)]])
+    blocks = [b[0] for b in channels._apply_factors([ch], members)]
+    qcore.check_states(blocks)
     skew = [np.array(b) for b in blocks]
     skew[0][1, 0, 1] += 1e-8
     with pytest.raises(ValueError, match="output block is not Hermitian"):
-        channels._check_states(skew)
+        qcore.check_states(skew)
     # member 0 gains what member 1 loses: the traces summed over the batch
     # still read 2, but each member's deviates
     shifted = [np.array(b) for b in blocks]
     shifted[0][0, 0, 0] += 1e-8
     shifted[0][1, 0, 0] -= 1e-8
     with pytest.raises(ValueError, match="output trace deviates from 1 by 1.000e-08"):
-        channels._check_states(shifted)
+        qcore.check_states(shifted)
     # a Kraus family 4e-10 off trace preserving, which construction admits
     leaky = QuantumChannel(ch.in_layout, ch.out_layout, ch.env_layout,
                            tuple((r, e, k * np.sqrt(1 + 4e-10)) for r, e, k in ch.blocks))
     with pytest.raises(ValueError, match="output trace deviates from 1 by 4.000e-10"):
-        channels.apply_ensemble(leaky, ens)
+        channels._apply_factors([leaky], members)
     with pytest.raises(ValueError, match="does not match channel input"):
-        channels.apply_ensemble(identity_channel(3), ens)
+        channels._apply_factors([identity_channel(3)], members)
 
 
 def _erasure_pair(q, p):
@@ -531,12 +531,21 @@ def test_main_channel_wiring():
 
 
 def test_ensemble_validation():
-    rho = qcore.max_mixed(2)
-    CqEnsemble(((0.5, rho), (0.5, rho)))
+    lay, rho = qcore.SystemLayout((2,)), qcore.max_mixed(2).matrix
+    ens = qcore.CqEnsemble(lay, [0.5, 0.5], [rho, rho])
+    assert ens.probs.shape == (2,) and ens.states.shape == (2, 2, 2)
+    assert not ens.probs.flags.writeable and not ens.states.flags.writeable
+    with pytest.raises(ValueError, match="^ensemble probabilities miss a sum of 1 by 4.000e-01$"):
+        qcore.CqEnsemble(lay, [0.7, 0.7], [rho, rho])
+    with pytest.raises(ValueError, match="^ensemble probabilities must be nonnegative$"):
+        qcore.CqEnsemble(lay, [1.1, -0.1], [rho, rho])
+    # a member of another dimension, and a weight without its state
     with pytest.raises(ValueError):
-        CqEnsemble(((0.7, rho), (0.7, rho)))
-    with pytest.raises(ValueError):
-        CqEnsemble(((1.0, rho), (0.0, qcore.max_mixed(3))))
+        qcore.CqEnsemble(lay, [1.0, 0.0], [rho, qcore.max_mixed(3).matrix])
+    with pytest.raises(ValueError, match="one weight and one 2 x 2 state per member"):
+        qcore.CqEnsemble(lay, [0.5, 0.5], [rho])
+    with pytest.raises(ValueError, match=r"^input state trace deviates from 1 by 1\.000e\+00$"):
+        qcore.CqEnsemble(lay, [0.5, 0.5], [rho, 2 * rho])
 
 
 def _from_json(text) -> QuantumChannel:
@@ -803,8 +812,8 @@ def test_flag_pinned_switch_equals_its_component(pa, pb, c, seed):
     sw = switch_channel(comps)
     comp = comps[c]
     rng = np.random.default_rng(seed)
-    for data in (qcore.random_density((2,), rng), qcore.random_pure((2,), rng).to_density()):
-        pinned = qcore.tensor(qcore.basis_state(2, c).to_density(), data)
+    for data in (random_density((2,), rng), qcore.random_pure((2,), rng)):
+        pinned = qcore.tensor(qcore.basis_state(2, c), data)
         out = _output(sw, pinned)
         rows = slice(c * comp.out_dim, (c + 1) * comp.out_dim)
         np.testing.assert_allclose(out[rows, rows], _output(comp, data), rtol=0, atol=1e-12)

@@ -198,6 +198,41 @@ def test_non_integer_dimension_or_boolean_field_exits_65(capsys, tmp_path, chann
     assert err.startswith("qcap: error: ") and "Traceback" not in err
 
 
+def _diag(layout, diag):
+    n = len(diag)
+    return {"layout": layout, "matrix": [[[diag[i] if i == j else 0.0, 0.0] for j in range(n)]
+                                         for i in range(n)]}
+
+
+_QUARTER = [0.25] * 4
+
+
+# the boundary checks of an ensemble file: at least one member, one layout
+# shared by every member (here [4] and [2, 2], of equal total), weights
+# >= 0 summing to 1 within 1e-9, and each member's eigenvalue floor
+@pytest.mark.parametrize("quantity", ["holevo", "private"])
+@pytest.mark.parametrize(
+    "items",
+    [
+        [],
+        [{"p": "1/2", "state": _diag([4], _QUARTER)},
+         {"p": "1/2", "state": _diag([2, 2], _QUARTER)}],
+        [{"p": -0.1, "state": _diag([4], _QUARTER)}, {"p": 1.1, "state": _diag([4], _QUARTER)}],
+        [{"p": 0.5, "state": _diag([4], _QUARTER)}, {"p": 0.500001, "state": _diag([4], _QUARTER)}],
+        [{"p": 1, "state": _diag([4], [0.5 + 1e-6, 0.5, 0.0, -1e-6])}],
+    ],
+    ids=["empty", "two-layouts", "negative-weight", "weights-over-1", "negative-eigenvalue"],
+)
+def test_malformed_ensemble_exits_65(capsys, tmp_path, quantity, items):
+    chan = write_channel(tmp_path, {"kind": "identity", "d": 4})
+    (tmp_path / "ens.json").write_text(json.dumps({"items": items}))
+    code, out, err = run(capsys, "info", quantity, "--channel", chan,
+                         "--ensemble", str(tmp_path / "ens.json"))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("qcap: error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_deeply_nested_tensor_loads(capsys, tmp_path):
     # a single-factor tensor is its factor, so the nest is the identity on C^2
     spec = {"kind": "identity", "d": 2}

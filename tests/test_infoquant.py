@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_oracle import random_density, von_neumann_entropy
 from qcap import infoquant as iq
 from qcap import qcore, verify
 from qcap.channels import (
-    CqEnsemble,
     erasure_channel,
     identity_channel,
     main_channel,
@@ -18,15 +18,24 @@ from qcap.channels import (
     switch_channel,
     tensor_channels,
 )
-from qcap.qcore import LOG2E, DensityOperator, SystemLayout, basis_state, max_mixed
+from qcap.qcore import LOG2E, CqEnsemble, DensityOperator, SystemLayout, basis_state, max_mixed
 
 H = lambda p: -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
+def _ens(pairs):
+    """The CqEnsemble of (weight, DensityOperator) pairs on one layout."""
+    return CqEnsemble(pairs[0][1].layout, [p for p, _ in pairs], [rho.matrix for _, rho in pairs])
+
+
+def _members(ens):
+    """The (weight, DensityOperator) pairs of a CqEnsemble, in member order."""
+    return [(p, DensityOperator(ens.layout, m, check_psd=False))
+            for p, m in zip(ens.probs.tolist(), ens.states)]
+
+
 def _computational_ensemble(d=2):
-    return CqEnsemble(
-        tuple((1.0 / d, basis_state(d, x).to_density()) for x in range(d))
-    )
+    return _ens([(1.0 / d, basis_state(d, x)) for x in range(d)])
 
 
 def test_coherent_information_erasure_closed_form():
@@ -42,7 +51,7 @@ def test_coherent_information_erasure_closed_form():
 def test_coherent_information_pure_input_d3_switch():
     # a pure input leaves Bob and Eve with equal entropies
     ch = main_channel(1, Fraction(1, 4), 3)
-    rho = qcore.random_pure(ch.in_layout, np.random.default_rng(3)).to_density()
+    rho = qcore.random_pure(ch.in_layout, np.random.default_rng(3))
     res = iq.coherent_information(ch, rho)
     assert res.components["H(B)"] > 1.0
     assert abs(res.components["H(B)"] - res.components["H(E)"]) < 1e-12
@@ -95,14 +104,14 @@ def test_quantities_never_build_a_dense_kraus_stack(quantity, monkeypatch):
 
     monkeypatch.setattr(iq.qch, "complementary", recording)
     rng = np.random.default_rng(12)
-    rho = qcore.random_density(ch.in_layout, rng, rank=2)
+    rho = random_density(ch.in_layout, rng, rank=2)
     if quantity == "coherent_information":
         iq.coherent_information(ch, rho)
     elif quantity == "holevo_bob_family":
-        pure = qcore.random_pure(ch.in_layout, rng).to_density()
+        pure = qcore.random_pure(ch.in_layout, rng)
         iq.holevo_bob_family([ch, ch], [[0.5, 0.5]] * 2, [[rho.matrix, pure.matrix]] * 2)
     else:
-        ens = CqEnsemble(((0.5, rho), (0.5, qcore.random_pure(ch.in_layout, rng).to_density())))
+        ens = _ens([(0.5, rho), (0.5, qcore.random_pure(ch.in_layout, rng))])
         getattr(iq, quantity)(ch, ens)
     assert len(seen) == (1 if quantity.startswith("holevo_bob") else 2)
 
@@ -118,8 +127,8 @@ def _family_case():
     rng = np.random.default_rng(23)
     lay = channels[0].in_layout
     probs = rng.dirichlet(np.ones(3), size=len(channels))
-    states = [[qcore.random_pure(lay, rng).to_density(), qcore.random_density(lay, rng),
-               qcore.random_density(lay, rng, rank=2)] for _ in channels]
+    states = [[qcore.random_pure(lay, rng), random_density(lay, rng),
+               random_density(lay, rng, rank=2)] for _ in channels]
     return channels, probs, states
 
 
@@ -129,7 +138,7 @@ def test_holevo_bob_family_matches_holevo_bob_pair_by_pair():
     values = iq.holevo_bob_family(channels, probs, mats)
     assert values.shape == (len(channels),)
     for ch, w, row, value in zip(channels, probs, states, values):
-        one = iq.holevo_bob(ch, CqEnsemble(tuple(zip(w, row))))
+        one = iq.holevo_bob(ch, _ens(list(zip(w, row))))
         assert value == pytest.approx(one.value, abs=1e-12)
     assert iq.holevo_bob_family([], np.zeros((0, 3)), np.zeros((0, 3, 4, 4))).shape == (0,)
 
@@ -201,9 +210,9 @@ def _per_state_gap_states(seed):
     by its own call, in the order of the suite."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     states = [max_mixed(2), max_mixed(3), max_mixed(4)]
-    states.append(qcore.random_pure((3,), rng).to_density())
+    states.append(qcore.random_pure((3,), rng))
     states.append(DensityOperator(SystemLayout((3,)), np.diag([0.5, 0.5, 0.0]).astype(complex)))
-    return states + [qcore.random_density((2 + i % 3,), rng) for i in range(195)]
+    return states + [random_density((2 + i % 3,), rng) for i in range(195)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -215,7 +224,7 @@ def test_lemma2_entropy_gaps_equal_the_per_state_values(seed):
         rhos = [rho for rho in states if rho.dim == d]
         # one standard_normal call continues the stream as the per-state calls
         assert mats.tobytes() == np.array([rho.matrix for rho in rhos]).tobytes()
-        want = [qcore.von_neumann_entropy(rho) - iq.subentropy(rho) for rho in rhos]
+        want = [von_neumann_entropy(rho) - iq.subentropy(rho) for rho in rhos]
         assert verify._entropy_gaps(mats).tolist() == want
 
 
@@ -249,7 +258,7 @@ def test_pauli_rocket_leaks_log2d_to_bob(d):
     # {1/d, |i>|0>} reaches log2 d bits toward Bob, above the exact lane's
     # 2-bit charge per rocket once d >= 5 (README "Numerical notes").
     ch = rocket_channel(d, "pauli")
-    ens = CqEnsemble(tuple((1.0 / d, basis_state((d, d), i * d).to_density()) for i in range(d)))
+    ens = _ens([(1.0 / d, basis_state((d, d), i * d)) for i in range(d)])
     bits = iq.holevo_bob(ch, ens).value
     assert bits == pytest.approx(math.log2(d), abs=1e-9)
     assert (bits > 2) == (d >= 5)
@@ -261,7 +270,7 @@ def test_named_rockets_are_noiseless_quantum_channels_on_their_first_input(d, en
     # With the second input at |0>, V_r|0> is a basis state up to phase, so
     # the dephasing acts on the first input as a fixed Z^j that Bob undoes
     # from the label: the leak is a whole quantum channel, I_c = log2 d.
-    rho = qcore.tensor(max_mixed(d), basis_state(d, 0).to_density())
+    rho = qcore.tensor(max_mixed(d), basis_state(d, 0))
     res = iq.coherent_information(rocket_channel(d, ensemble), rho)
     assert res.value == pytest.approx(math.log2(d), abs=1e-9)
 
@@ -272,9 +281,8 @@ def test_brute_force_deterministic():
     v1, e1 = iq.brute_force_p1(ch, cfg)
     v2, e2 = iq.brute_force_p1(ch, cfg)
     assert v1 == v2
-    for (p1, r1), (p2, r2) in zip(e1.items, e2.items):
-        assert p1 == p2
-        np.testing.assert_array_equal(r1.matrix, r2.matrix)
+    np.testing.assert_array_equal(e1.probs, e2.probs)
+    np.testing.assert_array_equal(e1.states, e2.states)
 
 
 def test_brute_force_c1_erasure():
@@ -464,8 +472,8 @@ def test_private_search_runs_once_per_switch_component(monkeypatch):
     _, ens = iq.brute_force_p1(ch, iq.OptimizerConfig(restarts=3, iterations=50, seed=0))
     assert starts == [(3, 32), (3, 32)]
     # the rocket component wins, and its ensemble sits at flag 0
-    flag0 = [float(qcore.partial_trace(rho, [0]).matrix[0, 0].real) for _, rho in ens.items]
-    assert flag0 == pytest.approx([1.0] * len(ens.items), abs=1e-15)
+    flag0 = [float(qcore.partial_trace(rho, [0]).matrix[0, 0].real) for _, rho in _members(ens)]
+    assert flag0 == pytest.approx([1.0] * len(ens.probs), abs=1e-15)
 
 
 def test_dim_cap_applies_to_the_searched_dimension():
@@ -521,9 +529,8 @@ def test_search_ties_keep_the_earlier_group():
     sw = switch_channel([identity_channel(2), identity_channel(2)])
     value, ens = iq.brute_force_p1(sw, iq.OptimizerConfig(restarts=3, iterations=100, seed=4))
     assert value == pytest.approx(1.0, abs=1e-12)
-    assert sum(p * float(qcore.partial_trace(rho, [0]).matrix[0, 0].real) for p, rho in ens.items) == (
-        pytest.approx(1.0, abs=1e-15)
-    )
+    mass = sum(p * float(qcore.partial_trace(rho, [0]).matrix[0, 0].real) for p, rho in _members(ens))
+    assert mass == pytest.approx(1.0, abs=1e-15)
 
 
 def test_brute_force_rejects_large_inputs():
@@ -547,7 +554,7 @@ def test_subentropy_values():
         expect = math.log2(d) - (float(iq.harmonic(d)) - 1.0) * LOG2E
         assert q == pytest.approx(expect, abs=1e-6)
         assert q == pytest.approx(iq.gamma_d(d) * LOG2E, abs=1e-13)
-    assert iq.subentropy(basis_state(4, 2).to_density()) == 0.0
+    assert iq.subentropy(basis_state(4, 2)) == 0.0
 
 
 def test_subentropy_distinct_spectrum():
@@ -615,9 +622,9 @@ def test_subentropy_zero_padding_invariance():
 def test_subentropy_below_entropy():
     rng = np.random.default_rng(17)
     for _ in range(25):
-        rho = qcore.random_density((3,), rng)
+        rho = random_density((3,), rng)
         q = iq.subentropy(rho)
-        assert -1e-9 <= q <= qcore.von_neumann_entropy(rho) + 1e-9
+        assert -1e-9 <= q <= von_neumann_entropy(rho) + 1e-9
 
 
 def test_harmonic_and_gamma():
@@ -657,7 +664,7 @@ def test_gamma_d_memory_does_not_grow_with_d():
 
 
 def test_haar_measured_entropy_pure_qubit():
-    mean, se = iq.haar_measured_entropy(basis_state(2, 0).to_density(), 40000, 3)
+    mean, se = iq.haar_measured_entropy(basis_state(2, 0), 40000, 3)
     assert se > 0
     assert abs(mean - LOG2E / 2) < 4 * se
 
@@ -786,7 +793,7 @@ HAAR_BITS = {
 @pytest.mark.parametrize("state,samples", list(HAAR_BITS), ids=lambda v: str(v))
 def test_haar_measured_entropy_bits_are_pinned(state, samples):
     rho = {
-        "pure": basis_state(2, 0).to_density(),
+        "pure": basis_state(2, 0),
         "mixed3": DensityOperator(SystemLayout((3,)), np.diag([0.5, 0.3, 0.2]).astype(complex)),
     }[state]
     got = [iq.haar_measured_entropy(rho, samples, seed) for seed in range(4)]
@@ -813,11 +820,11 @@ def test_haar_measured_entropy_matches_the_einsum_contraction(d):
     # reads a rounding off 1
     rng = np.random.default_rng(40 + d)
     states = {
-        "pure": basis_state(d, d - 1).to_density(),
-        "full": qcore.random_density((d,), rng),
+        "pure": basis_state(d, d - 1),
+        "full": random_density((d,), rng),
     }
     if d > 1:
-        states["rank-deficient"] = qcore.random_density((d,), rng, rank=d - 1)
+        states["rank-deficient"] = random_density((d,), rng, rank=d - 1)
     for rho in states.values():
         got = iq.haar_measured_entropy(rho, 3000, d)
         want = _einsum_measured_entropy(rho, 3000, d)

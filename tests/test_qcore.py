@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import permute_systems, tensor_all
+from dense_oracle import permute_systems, random_density, tensor_all, von_neumann_entropy
 from qcap import qcore
 from qcap.qcore import (
     DensityOperator,
     DimensionCapError,
-    PureState,
     SystemLayout,
     basis_state,
     check_dim,
     max_entangled,
     max_mixed,
     partial_trace,
+    pure_state,
     tensor,
-    von_neumann_entropy,
 )
 
 
@@ -37,16 +36,27 @@ def test_layout_rejects_bad_dims():
 
 def test_pure_state_normalization_enforced():
     lay = SystemLayout((2,))
-    PureState(lay, np.array([1.0, 0.0]))
+    v = np.array([0.6, 0.8j])
+    rho = pure_state(lay, v)
+    # the rank-one DensityOperator |v><v|, bit for bit the outer product
+    assert isinstance(rho, DensityOperator) and rho.layout == lay
+    assert rho.matrix.tobytes() == np.outer(v, v.conj()).tobytes()
+    assert not rho.matrix.flags.writeable
     with pytest.raises(ValueError):
-        PureState(lay, np.array([1.0, 1.0]))
+        pure_state(lay, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="^amplitude count 3 does not match layout total 2$"):
+        pure_state(lay, np.array([1.0, 0.0, 0.0]))
 
 
 def test_pure_state_error_reports_the_norm_deviation():
     # the check tests |norm - 1|; a norm of 1.1 deviates by 0.1, not by
     # the 0.21 of the squared norm
     with pytest.raises(ValueError, match=r"^norm deviates from 1 by 1\.000e-01$"):
-        PureState(SystemLayout((2,)), np.array([1.1, 0.0]))
+        pure_state(SystemLayout((2,)), np.array([1.1, 0.0]))
+    # the same check on a stack: the worst vector is reported
+    with pytest.raises(ValueError, match=r"^norm deviates from 1 by 1\.000e-01$"):
+        qcore.check_unit_norm(np.array([[1.0, 0.0], [0.0, 0.9]]))
+    qcore.check_unit_norm(np.array([[1.0, 0.0], [0.6, 0.8]]))
 
 
 def test_density_validation():
@@ -61,7 +71,7 @@ def test_density_validation():
 
 def test_basis_and_max_mixed():
     e1 = basis_state(3, 1)
-    assert e1.amplitudes[1] == 1.0
+    np.testing.assert_array_equal(e1.matrix, np.diag([0.0, 1.0, 0.0]))
     rho = max_mixed((2, 2))
     assert rho.dim == 4
     np.testing.assert_allclose(rho.matrix, np.eye(4) / 4)
@@ -69,8 +79,8 @@ def test_basis_and_max_mixed():
 
 def test_tensor_and_partial_trace_inverse():
     rng = np.random.default_rng(11)
-    a = qcore.random_density((2,), rng)
-    b = qcore.random_density((3,), rng)
+    a = random_density((2,), rng)
+    b = random_density((3,), rng)
     ab = tensor(a, b)
     assert ab.layout.dims == (2, 3)
     np.testing.assert_allclose(partial_trace(ab, [0]).matrix, a.matrix, atol=1e-12)
@@ -79,7 +89,7 @@ def test_tensor_and_partial_trace_inverse():
 
 def test_partial_trace_keeps_original_order():
     rng = np.random.default_rng(5)
-    parts = [qcore.random_density((d,), rng) for d in (2, 3, 2)]
+    parts = [random_density((d,), rng) for d in (2, 3, 2)]
     rho = tensor_all(*parts)
     # keep indices are a set; kept subsystems stay in original order
     kept = partial_trace(rho, [2, 0])
@@ -93,7 +103,7 @@ def test_partial_trace_keeps_original_order():
 
 def test_permute_systems_roundtrip():
     rng = np.random.default_rng(7)
-    rho = qcore.random_density((2, 3, 4), rng)
+    rho = random_density((2, 3, 4), rng)
     perm = [2, 0, 1]
     moved = permute_systems(rho, perm)
     assert moved.layout.dims == (4, 2, 3)
@@ -116,7 +126,7 @@ _dims = st.lists(st.integers(1, 3), min_size=1, max_size=4)
 @given(dims=_dims, seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_inverse_permutation_restores_the_matrix_exactly(dims, seed, data):
     perm = data.draw(st.permutations(range(len(dims))))
-    rho = qcore.random_density(tuple(dims), np.random.default_rng(seed))
+    rho = random_density(tuple(dims), np.random.default_rng(seed))
     moved = permute_systems(rho, perm)
     back = permute_systems(moved, [perm.index(i) for i in range(len(dims))])
     assert back.layout.dims == rho.layout.dims
@@ -127,7 +137,7 @@ def test_inverse_permutation_restores_the_matrix_exactly(dims, seed, data):
 @given(dims=_dims, seed=st.integers(0, 2**32 - 1))
 def test_partial_trace_of_a_product_returns_each_factor(dims, seed):
     rng = np.random.default_rng(seed)
-    factors = [qcore.random_density((d,), rng) for d in dims]
+    factors = [random_density((d,), rng) for d in dims]
     rho = tensor_all(*factors)
     for i, factor in enumerate(factors):
         np.testing.assert_allclose(partial_trace(rho, [i]).matrix, factor.matrix, rtol=0, atol=1e-12)
@@ -135,7 +145,7 @@ def test_partial_trace_of_a_product_returns_each_factor(dims, seed):
 
 def test_entropies():
     assert von_neumann_entropy(max_mixed(4)) == pytest.approx(2.0, abs=1e-12)
-    assert von_neumann_entropy(basis_state(5, 2).to_density()) == pytest.approx(
+    assert von_neumann_entropy(basis_state(5, 2)) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -154,26 +164,37 @@ def _edge_rows(n):
     return np.array(rows)
 
 
+def _positive_entropy(row) -> float:
+    """-sum(lam log2 lam) over the positive entries of a clipped row alone."""
+    lam = np.clip(row, 0.0, 1.0)
+    nz = lam[lam > 0.0]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_stacked_spectrum_entropy_is_bit_identical_to_rows(n):
+    # below 8 entries, a row's sum over every entry (zero logs where an
+    # entry is <= 0) is bit for bit its sum over the positive entries
     rows = _edge_rows(n)
     stacked = qcore.spectrum_entropy(rows)
     assert stacked.shape == (len(rows),)
-    assert [i for i, row in enumerate(rows) if stacked[i] != qcore.spectrum_entropy(row)] == []
+    assert [i for i, row in enumerate(rows) if stacked[i] != _positive_entropy(row)] == []
     # any leading shape: one entropy per row
     cube = rows[:12].reshape(3, 4, n)
     np.testing.assert_array_equal(qcore.spectrum_entropy(cube), stacked[:12].reshape(3, 4))
 
 
-def test_spectrum_entropy_of_a_vector_is_a_float():
-    for w in ([0.5, 0.5], np.array([1.0, 0.0, -1e-17]), np.full(9, 1 / 9)):
-        assert type(qcore.spectrum_entropy(w)) is float
-    assert qcore.spectrum_entropy([0.5, 0.5]) == 1.0
+def test_spectrum_entropy_rows_are_exact():
+    rows = [[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, -1e-17, 0.0], [0.25] * 4, [1.5, -0.5, 0.0, 0.0]]
+    got = qcore.spectrum_entropy(np.array(rows))
+    assert got.dtype == np.float64 and got.shape == (4,)
+    assert got.tolist() == [1.0, 0.0, 2.0, 0.0]
+    assert qcore.spectrum_entropy(np.full((2, 8), 0.125)).tolist() == [3.0, 3.0]
 
 
 def test_max_entangled_marginal():
     phi = max_entangled(3)
-    marg = partial_trace(phi.to_density(), [0])
+    marg = partial_trace(phi, [0])
     np.testing.assert_allclose(marg.matrix, np.eye(3) / 3, atol=1e-12)
 
 
@@ -237,7 +258,7 @@ def test_haar_unitaries_columns_are_those_of_the_full_draw(d):
 
 def test_random_density_rank_control():
     rng = np.random.default_rng(9)
-    rho = qcore.random_density((4,), rng, rank=2)
+    rho = random_density((4,), rng, rank=2)
     w = np.linalg.eigvalsh(rho.matrix)
     assert np.sum(w > 1e-10) == 2
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_oracle import tensor_all, witness_state
+from dense_oracle import random_density, tensor_all, von_neumann_entropy, witness_state
 from qcap import infoquant as iq
 from qcap import qcore
 from qcap.channels import main_channel, rocket_channel, tensor_power
@@ -52,7 +52,7 @@ def test_witness_state_marginals():
     np.testing.assert_allclose(partial_trace(rho, [2]).matrix, np.eye(2) / 2, atol=1e-12)
     np.testing.assert_allclose(partial_trace(rho, [4]).matrix, np.eye(2) / 2, atol=1e-12)
     pair = partial_trace(rho, [2, 4])
-    assert qcore.von_neumann_entropy(pair) == pytest.approx(0.0, abs=1e-9)
+    assert von_neumann_entropy(pair) == pytest.approx(0.0, abs=1e-9)
     # pad register is the fixed pure state
     np.testing.assert_allclose(partial_trace(rho, [5]).matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -99,8 +99,8 @@ def test_pinned_switch_equals_bare_component():
     # identical output/environment entropies (up to the deterministic flag)
     ch = main_channel(1, P, 2)
     rng = np.random.default_rng(23)
-    data = qcore.random_density((2, 2), rng)
-    pinned = qcore.tensor(qcore.basis_state(2, 0).to_density(), data)
+    data = random_density((2, 2), rng)
+    pinned = qcore.tensor(qcore.basis_state(2, 0), data)
     full = iq.coherent_information(ch, pinned)
     bare = iq.coherent_information(rocket_channel(2), data)
     assert full.value == pytest.approx(bare.value, abs=1e-9)
@@ -112,9 +112,9 @@ def test_main_channel_with_two_rockets_at_desk_scale():
     ch = main_channel(2, P, 2)
     assert (ch.in_dim, ch.out_dim, ch.n_kraus) == (32, 2048, 1048)
     rho = tensor_all(
-        qcore.basis_state(2, 1).to_density(),
+        qcore.basis_state(2, 1),
         qcore.max_mixed(2),
-        qcore.basis_state((2, 2, 2), 0).to_density(),
+        qcore.basis_state((2, 2, 2), 0),
     )
     res = iq.coherent_information(ch, rho)
     assert res.value == pytest.approx(float(1 - 2 * P) * math.log2(2), abs=1e-9)
