@@ -143,39 +143,61 @@ def _load_channel(path: str):
 
 
 def _state_from_obj(obj, path: str):
+    """The layout and the layout-wide square matrix of a JSON state, unchecked."""
     from . import qcore
     from .channels import ChannelSpecError, _dim_from_json, _matrix_from_json
 
     try:
         dims = tuple(_dim_from_json(d) for d in obj["layout"])
         matrix = _matrix_from_json(obj["matrix"])
-        return qcore.DensityOperator(qcore.SystemLayout(dims), matrix)
+        layout = qcore.SystemLayout(dims)
+        return layout, qcore._as_matrix(matrix, layout.total)
     except ChannelSpecError as exc:
         raise DataError(f"{path}: {exc}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: bad state object: {exc}")
 
 
+def _check_floor(m) -> None:
+    """The eigenvalue floor of a matrix or a stack: one eigvalsh."""
+    import numpy as np
+
+    from . import qcore
+
+    qcore.check_eigenvalue_floor(np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0))
+
+
 def _load_state(path: str):
-    return _state_from_obj(_load_json_file(path), path)
+    """The DensityOperator of a JSON state file, floor checked."""
+    from . import qcore
+
+    layout, matrix = _state_from_obj(_load_json_file(path), path)
+    try:
+        rho = qcore.DensityOperator(layout, matrix)
+        _check_floor(rho.matrix)
+    except ValueError as exc:
+        raise DataError(f"{path}: bad state object: {exc}")
+    return rho
 
 
 def _load_ensemble(path: str):
     """The ensemble of a JSON {"items": [{"p": ..., "state": ...}, ...]}:
-    each member read as a checked DensityOperator, at least one member, and
-    every member on one layout, then the weights checked by CqEnsemble."""
+    at least one member, all on one layout, then the weights and stacked
+    states checked once by CqEnsemble and their floor by one eigvalsh."""
     from . import qcore
 
     obj = _load_json_file(path)
     try:
-        items = [(float(as_fraction(it["p"])), _state_from_obj(it["state"], path))
+        items = [(float(as_fraction(it["p"])), *_state_from_obj(it["state"], path))
                  for it in obj["items"]]
         if not items:
             raise ValueError("ensemble needs at least one item")
-        layout = items[0][1].layout
-        if any(rho.layout != layout for _, rho in items):
+        layout = items[0][1]
+        if any(lay != layout for _, lay, _ in items):
             raise ValueError("ensemble states must share one layout")
-        return qcore.CqEnsemble(layout, [p for p, _ in items], [rho.matrix for _, rho in items])
+        ens = qcore.CqEnsemble(layout, [p for p, _, _ in items], [m for _, _, m in items])
+        _check_floor(ens.states)
+        return ens
     except DataError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

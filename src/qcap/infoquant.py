@@ -125,8 +125,9 @@ def holevo_bob_family(channels, probs, states) -> np.ndarray:
     for each i: one kernel call per block layout, values in input order.
     The weights and states pass the check a CqEnsemble makes
     (qcore.check_ensemble: weights >= 0 summing to 1 per row, states
-    Hermitian and of unit trace); their eigenvalue floor is not checked,
-    since the caller builds them positive."""
+    Hermitian and of unit trace). Their eigenvalue floor is not checked
+    here: they are built in the program (lemma 3's pure states), not read
+    from outside, and qcore checks the floor only where states enter."""
     probs = np.asarray(probs, dtype=np.float64)
     states = np.asarray(states, dtype=np.complex128)
     if probs.ndim != 2 or states.shape[:2] != probs.shape or len(channels) != len(probs):
@@ -463,33 +464,28 @@ def witness_coherent_info(
     m = min(n, j - 1)
     pad_dim = d ** (2 * n - 1)
 
-    hb = 0.0
-    he = 0.0
-    resid = 0.0
-
-    def accumulate(ch, rho, count):
-        nonlocal hb, he, resid
-        if count == 0:
-            return
-        res = coherent_information(ch, rho)
-        hb += count * res.components["H(B)"]
-        he += count * res.components["H(E)"]
-        resid = max(resid, res.diagnostics["max_trace_residual"])
-
     rocket = qch.rocket_channel(d, ensemble)
     erasure = qch.erasure_channel(p, d)
-
-    # paired groups: (I/d on a1) x (Phi+ across a2 and the next use's data)
-    pair_state = qcore.tensor(qcore.max_mixed(d), qcore.max_entangled(d))
-    accumulate(qch.tensor_channels(rocket, erasure), pair_state, m)
-    # unpaired rockets, unpaired erasure data registers, and the pads all
-    # carry fixed pure product inputs
-    sigma2 = qcore.tensor(qcore.basis_state(d, 0), qcore.basis_state(d, 0))
-    accumulate(rocket, sigma2, n - m)
-    accumulate(erasure, qcore.basis_state(d, 0), (j - 1) - m)
-    accumulate(qch.erasure_channel(1, pad_dim), qcore.basis_state(pad_dim, 0), j - 1)
+    zero = qcore.basis_state(d, 0)
+    groups = [
+        # paired groups: (I/d on a1) x (Phi+ across a2 and the next use's data)
+        (qch.tensor_channels(rocket, erasure),
+         qcore.tensor(qcore.max_mixed(d), qcore.max_entangled(d)), m),
+        # unpaired rockets, unpaired erasure data registers, and the pads
+        # all carry fixed pure product inputs
+        (rocket, qcore.tensor(zero, zero), n - m),
+        (erasure, zero, (j - 1) - m),
+        (qch.erasure_channel(1, pad_dim), qcore.basis_state(pad_dim, 0), j - 1),
+    ]
     # pinned flags pass through the switch deterministically and contribute
     # zero entropy on both sides
+    hb = he = resid = 0.0
+    for ch, rho, count in groups:
+        if count:
+            res = coherent_information(ch, rho)
+            hb += count * res.components["H(B)"]
+            he += count * res.components["H(E)"]
+            resid = max(resid, res.diagnostics["max_trace_residual"])
 
     value = hb - he
     return InfoResult(

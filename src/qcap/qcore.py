@@ -9,6 +9,9 @@ case (pure_state). An ensemble has one form, the CqEnsemble's weights and
 stacked states. The checks on both live here, beside their tolerances,
 one function per concept: check_states (Hermitian, unit trace),
 check_eigenvalue_floor, check_unit_norm and check_ensemble (the weights).
+NaN fails every check. Every state the program builds is positive, so
+the eigenvalue floor is checked once, where a state enters from outside:
+the CLI's state and ensemble loaders, and lemma 2's stack of drawn states.
 """
 
 from __future__ import annotations
@@ -75,10 +78,7 @@ class SystemLayout:
 
     @property
     def total(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -96,10 +96,13 @@ def layout_of(dims) -> SystemLayout:
     return SystemLayout(tuple(dims))
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrix(m, total: int) -> np.ndarray:
+    """m as a complex total x total matrix; ValueError if it is not one."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] != total:
+        raise ValueError(f"matrix dimension {a.shape[0]} does not match layout total {total}")
     return a
 
 
@@ -109,11 +112,11 @@ def check_states(blocks, block: str = "output block", state: str = "output") -> 
     have block traces that sum to 1 within TOL_TRACE for each of the m
     states. A whole matrix is one block of one state. `block` and `state`
     name a block and a whole state in the messages."""
-    herm = float(max((abs(b - b.conj().swapaxes(-1, -2)).max() for b in blocks), default=0.0))
-    if herm > TOL_HERMITIAN:
+    herm = float(np.max([abs(b - b.conj().swapaxes(-1, -2)).max() for b in blocks], initial=0.0))
+    if not herm <= TOL_HERMITIAN:
         raise ValueError(f"{block} is not Hermitian (deviation {herm:.3e})")
     dev = float(np.max(np.abs(sum(b.trace(axis1=-2, axis2=-1) for b in blocks) - 1.0)))
-    if dev > TOL_TRACE:
+    if not dev <= TOL_TRACE:
         raise ValueError(f"{state} trace deviates from 1 by {dev:.3e}")
 
 
@@ -121,7 +124,7 @@ def check_eigenvalue_floor(w) -> None:
     """Raise ValueError if a spectrum of the stack w (..., n), each in
     ascending order as eigvalsh returns it, dips below -TOL_EIG."""
     low = float(np.min(w[..., 0]))
-    if low < -TOL_EIG:
+    if not low >= -TOL_EIG:
         raise ValueError(f"minimum eigenvalue {low:.3e} below -1e-9")
 
 
@@ -129,7 +132,7 @@ def check_unit_norm(v) -> None:
     """Raise ValueError unless every vector along the last axis of v has
     norm 1 within 1e-10."""
     dev = float(np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0), initial=0.0))
-    if dev > 1e-10:
+    if not dev <= 1e-10:
         raise ValueError(f"norm deviates from 1 by {dev:.3e}")
 
 
@@ -137,40 +140,29 @@ def check_ensemble(probs: np.ndarray, states: np.ndarray) -> None:
     """Raise ValueError unless the (g, n) weights probs and the (g, n, d, d)
     states form g ensembles: every weight >= 0, each row summing to 1
     within 1e-9, and every state Hermitian and of unit trace
-    (check_states). The eigenvalue floor is not checked here: states that
-    enter from outside are DensityOperators, which check it."""
-    if np.any(probs < 0):
+    (check_states). The eigenvalue floor is not checked here: it is checked
+    where states enter from outside (see the module docstring)."""
+    if not np.all(probs >= 0):
         raise ValueError("ensemble probabilities must be nonnegative")
     dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-    if dev > 1e-9:
+    if not dev <= 1e-9:
         raise ValueError(f"ensemble probabilities miss a sum of 1 by {dev:.3e}")
     check_states([states], block="input state", state="input state")
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive unit-trace operator on a layout: Hermitian and of unit trace
-    (check_states), and with no eigenvalue below -TOL_EIG.
-
-    check_psd=False skips the O(d^3) eigenvalue floor check for matrices
-    that are positive by construction (channel outputs, tensor products,
-    pure states); Hermiticity and trace are always verified.
-    """
+    """State on a layout: a read-only matrix of the layout's total width,
+    Hermitian and of unit trace (check_states). Its eigenvalue floor is
+    checked where it enters from outside (see the module docstring)."""
 
     layout: SystemLayout
     matrix: np.ndarray = field(repr=False)
-    check_psd: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "layout", layout_of(self.layout))
-        m = _as_matrix(self.matrix)
-        if m.shape[0] != self.layout.total:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match layout total {self.layout.total}"
-            )
+        m = _as_matrix(self.matrix, self.layout.total)
         check_states([m], block="matrix", state="matrix")
-        if self.check_psd and m.shape[0] > 1:
-            check_eigenvalue_floor(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -184,7 +176,7 @@ class DensityOperator:
 class CqEnsemble:
     """Classical-quantum ensemble on one layout: read-only weights probs
     (n,) and states (n, d, d), d the layout's total, checked by
-    check_ensemble."""
+    check_ensemble; their eigenvalue floor is checked where they enter."""
 
     layout: SystemLayout
     probs: np.ndarray = field(repr=False)
@@ -206,8 +198,7 @@ class CqEnsemble:
 
 def max_mixed(dims) -> DensityOperator:
     lay = layout_of(dims)
-    d = lay.total
-    return DensityOperator(lay, np.eye(d, dtype=np.complex128) / d, check_psd=False)
+    return DensityOperator(lay, np.eye(lay.total, dtype=np.complex128) / lay.total)
 
 
 def pure_state(dims, v) -> DensityOperator:
@@ -218,7 +209,7 @@ def pure_state(dims, v) -> DensityOperator:
     if v.size != lay.total:
         raise ValueError(f"amplitude count {v.size} does not match layout total {lay.total}")
     check_unit_norm(v)
-    return DensityOperator(lay, np.outer(v, v.conj()), check_psd=False)
+    return DensityOperator(lay, np.outer(v, v.conj()))
 
 
 def basis_state(dims, index: int) -> DensityOperator:
@@ -232,7 +223,7 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product; layout is the concatenation of the factors."""
     lay = a.layout.concat(b.layout)
     check_dim(lay.total, "tensor product")
-    return DensityOperator(lay, np.kron(a.matrix, b.matrix), check_psd=False)
+    return DensityOperator(lay, np.kron(a.matrix, b.matrix))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -250,11 +241,8 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     for offset, i in enumerate(traced):
         ax = i - offset  # earlier traces shift the remaining axes left
         a = np.trace(a, axis1=ax, axis2=ax + (n - offset))
-    kept_dims = tuple(dims[k] for k in keep)
-    total = 1
-    for d in kept_dims:
-        total *= d
-    return DensityOperator(SystemLayout(kept_dims), a.reshape(total, total), check_psd=False)
+    lay = SystemLayout(tuple(dims[k] for k in keep))
+    return DensityOperator(lay, a.reshape(lay.total, lay.total))
 
 
 def spectrum_entropy(w: np.ndarray) -> np.ndarray:
@@ -274,10 +262,7 @@ def max_entangled(d: int) -> DensityOperator:
     """|Phi+> = (1/sqrt(d)) sum_i |ii> on layout [d, d]."""
     if d < 2:
         raise ValueError(f"maximally entangled state needs d >= 2, got {d}")
-    amp = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        amp[i * d + i] = 1.0 / math.sqrt(d)
-    return pure_state(SystemLayout((d, d)), amp)
+    return pure_state(SystemLayout((d, d)), np.eye(d).ravel() / math.sqrt(d))
 
 
 # ---------------------------------------------------------------------------

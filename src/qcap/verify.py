@@ -56,8 +56,7 @@ def _child_seed(seed: int, tag: int) -> int:
 def _flag_mass(ens: qcore.CqEnsemble, component: int) -> float:
     total = 0.0
     for p, m in zip(ens.probs.tolist(), ens.states):
-        rho = qcore.DensityOperator(ens.layout, m, check_psd=False)
-        flag = qcore.partial_trace(rho, keep=[0])
+        flag = qcore.partial_trace(qcore.DensityOperator(ens.layout, m), keep=[0])
         total += p * float(flag.matrix[component, component].real)
     return total
 
@@ -113,13 +112,9 @@ def _gap_states(seed: int) -> dict[int, np.ndarray]:
     would, and each dimension's states from one batched g g^dag and one
     trace normalisation."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    specials = [qcore.max_mixed(2), qcore.max_mixed(3), qcore.max_mixed(4)]
-    specials.append(qcore.random_pure((3,), rng))
-    specials.append(
-        qcore.DensityOperator(
-            qcore.SystemLayout((3,)), np.diag([0.5, 0.5, 0.0]).astype(complex)
-        )
-    )
+    specials = [qcore.max_mixed(d).matrix for d in (2, 3, 4)]
+    specials.append(qcore.random_pure((3,), rng).matrix)
+    specials.append(np.diag([0.5, 0.5, 0.0]).astype(complex))
     dims = np.array([2 + (i % 3) for i in range(200 - len(specials))])
     sizes = 2 * dims**2  # the real, then the imaginary parts of a d x d draw
     z = rng.standard_normal(int(sizes.sum()))
@@ -130,17 +125,17 @@ def _gap_states(seed: int) -> dict[int, np.ndarray]:
         g = parts[:, 0] + 1j * parts[:, 1]
         m = g @ g.conj().swapaxes(-1, -2)
         m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-        fixed = np.reshape([rho.matrix for rho in specials if rho.dim == d], (-1, d, d))
+        fixed = np.reshape([s for s in specials if len(s) == d], (-1, d, d))
         stacks[d] = np.concatenate([fixed, m])
     return stacks
 
 
 def _entropy_gaps(mats: np.ndarray) -> np.ndarray:
     """H(rho) - Q(rho), entropy minus subentropy, for each state of a
-    (n, d, d) stack, from one eigvalsh over the stack. The states are
-    checked as a DensityOperator checks one: Hermitian and of unit trace
-    (qcore.check_states), and no eigenvalue below -1e-9
-    (qcore.check_eigenvalue_floor)."""
+    (n, d, d) stack, from one eigvalsh over the stack. The states enter
+    here, so the whole stack is checked here, once: Hermitian and of unit
+    trace (qcore.check_states), and no eigenvalue below -1e-9
+    (qcore.check_eigenvalue_floor) on the spectra the entropies use."""
     qcore.check_states([mats], block="input state", state="input state")
     w = np.linalg.eigvalsh(mats)
     qcore.check_eigenvalue_floor(w)

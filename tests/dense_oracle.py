@@ -36,7 +36,7 @@ def random_density(dims, rng: np.random.Generator, rank: int | None = None) -> D
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityOperator(lay, m, check_psd=False)
+    return DensityOperator(lay, m)
 
 
 def tensor_all(*ops: DensityOperator) -> DensityOperator:
@@ -56,7 +56,7 @@ def permute_systems(rho: DensityOperator, perm) -> DensityOperator:
     a = rho.matrix.reshape(dims + dims)
     a = np.transpose(a, perm + tuple(p + n for p in perm))
     new_dims = tuple(dims[p] for p in perm)
-    return DensityOperator(SystemLayout(new_dims), a.reshape(rho.dim, rho.dim), check_psd=False)
+    return DensityOperator(SystemLayout(new_dims), a.reshape(rho.dim, rho.dim))
 
 
 @dataclass(frozen=True)

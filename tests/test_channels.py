@@ -61,7 +61,7 @@ def _output(ch, rho):
 
 def _dense(ch, rho):
     """apply(ch, rho) as a DensityOperator, for the qcore helpers."""
-    return qcore.DensityOperator(ch.out_layout, _output(ch, rho), check_psd=False)
+    return qcore.DensityOperator(ch.out_layout, _output(ch, rho))
 
 
 def _inputs(layout, rng):
@@ -144,7 +144,7 @@ def test_complement_matches_dilation_marginals():
     v = np.concatenate([k for k in ch.kraus], axis=0)  # stacked isometry E x B
     big = v @ rho.matrix @ v.conj().T
     lay = qcore.SystemLayout((ch.n_kraus, ch.out_dim))
-    joint = qcore.DensityOperator(lay, big, check_psd=False)
+    joint = qcore.DensityOperator(lay, big)
     np.testing.assert_allclose(
         qcore.partial_trace(joint, [1]).matrix, _output(ch, rho), atol=1e-10
     )

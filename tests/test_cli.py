@@ -123,15 +123,52 @@ def test_info_bad_state_matrix(capsys, tmp_path):
     chan = write_channel(tmp_path, {"kind": "erasure", "p": "1/4", "d": 2})
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"layout": [2], "matrix": [[[1, 0], [0, 0]]]}))
-    code, _, _ = run(capsys, "info", "coherent", "--channel", chan, "--state", str(path))
-    assert code == 65
-    # trace != 1 is a data error too
-    bad = write_state(tmp_path, [0.9, 0.9], name="s2.json")
-    code, _, _ = run(capsys, "info", "coherent", "--channel", chan, "--state", bad)
-    assert code == 65
-    nan = write_state(tmp_path, [1.0, math.nan], name="s3.json")
-    code, _, _ = run(capsys, "info", "coherent", "--channel", chan, "--state", nan)
-    assert code == 65
+    states = [
+        str(path),
+        # trace != 1 is a data error too
+        write_state(tmp_path, [0.9, 0.9], name="s2.json"),
+        write_state(tmp_path, [1.0, math.nan], name="s3.json"),
+        # the eigenvalue floor, checked where the state is loaded
+        write_state(tmp_path, [1.0 + 1e-6, -1e-6], name="s4.json"),
+    ]
+    for state in states:
+        code, out, err = run(capsys, "info", "coherent", "--channel", chan, "--state", state)
+        assert code == 65
+        assert out == ""
+        assert err.startswith("qcap: error: ") and err.count("\n") == 1
+    assert "minimum eigenvalue" in err
+
+
+@pytest.mark.parametrize(
+    "quantity,flag,write",
+    [
+        ("coherent", "--state", lambda tmp_path: write_state(tmp_path, [0.5, 0.5])),
+        ("holevo", "--ensemble", write_ensemble),
+    ],
+)
+def test_a_loaded_state_is_checked_once(capsys, tmp_path, monkeypatch, quantity, flag, write):
+    # one Hermitian/trace check and one eigenvalue floor check for the
+    # whole input, a two-member ensemble included, before any numerics
+    calls, at_load = [], []
+
+    def spy(module, name, record):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            record(name)
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("check_states", "check_eigenvalue_floor"):
+        spy(qcore, name, calls.append)
+    for name in ("_load_state", "_load_ensemble"):
+        spy(cli, name, lambda _: at_load.extend(calls))
+    chan = write_channel(tmp_path, {"kind": "identity", "d": 2})
+    code, out, _ = run(capsys, "info", quantity, "--channel", chan, flag, write(tmp_path))
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(1.0, abs=1e-9)
+    assert at_load == ["check_states", "check_eigenvalue_floor"]
 
 
 @pytest.mark.parametrize(

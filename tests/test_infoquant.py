@@ -30,7 +30,7 @@ def _ens(pairs):
 
 def _members(ens):
     """The (weight, DensityOperator) pairs of a CqEnsemble, in member order."""
-    return [(p, DensityOperator(ens.layout, m, check_psd=False))
+    return [(p, DensityOperator(ens.layout, m))
             for p, m in zip(ens.probs.tolist(), ens.states)]
 
 
@@ -201,8 +201,8 @@ def test_lemma2_makes_one_eigvalsh_call_per_dimension(monkeypatch):
     stacks = [s for s in shapes if len(s) == 3]
     assert sorted(s[1:] for s in stacks) == [(2, 2), (3, 3), (4, 4)]
     assert sum(s[0] for s in stacks) == 200
-    # the rest: the rank-2 special's own PSD check and the Q(I/2) identity
-    assert len(shapes) == len(stacks) + 2
+    # the rest: the Q(I/2) identity; the rank-2 special is checked in its stack
+    assert len(shapes) == len(stacks) + 1
 
 
 def _per_state_gap_states(seed):
@@ -400,7 +400,7 @@ def test_private_objective_equals_coherent_information_of_the_average_input(ch):
     lane = []
     for a in obj.matrices(thetas):
         rho = a @ a.conj().T
-        rho = DensityOperator(ch.in_layout, rho / np.trace(rho).real, check_psd=False)
+        rho = DensityOperator(ch.in_layout, rho / np.trace(rho).real)
         lane.append(iq.coherent_information(ch, rho).value)
     np.testing.assert_allclose(obj.value(thetas)[0], lane, rtol=0, atol=1e-12)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -60,13 +61,43 @@ def test_pure_state_error_reports_the_norm_deviation():
 
 
 def test_density_validation():
+    # a layout and a checked matrix, nothing more: no per-call check switch
+    assert [f.name for f in dataclasses.fields(DensityOperator)] == ["layout", "matrix"]
     lay = SystemLayout((2,))
     with pytest.raises(ValueError):
         DensityOperator(lay, np.array([[0.5, 0.3], [0.2, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityOperator(lay, np.eye(2))  # trace 2
+
+
+def _nan_at(a, index):
+    a[index] = np.nan
+    return a
+
+
+_HALF = np.eye(2, dtype=complex) / 2
+
+
+# NaN fails every comparison, so each check is written to fail on it too
+@pytest.mark.parametrize(
+    "check,args",
+    [
+        (qcore.check_states, ([_HALF[None], _nan_at(_HALF[None].copy(), (0, 0, 0))],)),
+        (qcore.check_eigenvalue_floor, (np.array([[0.5, 0.5], [np.nan, 1.0]]),)),
+        (qcore.check_unit_norm, (np.array([[1.0, 0.0], [np.nan, 0.0]]),)),
+        (qcore.check_ensemble, (np.array([[np.nan, np.nan]]), np.array([[_HALF, _HALF]]))),
+        (qcore.check_ensemble,
+         (np.array([[0.5, 0.5]]), _nan_at(np.array([[_HALF, _HALF]]), (0, 1, 1, 1)))),
+        # and the two forms that run them
+        (DensityOperator, ((2,), _nan_at(_HALF.copy(), (0, 0)))),
+        (qcore.CqEnsemble, ((2,), [np.nan, np.nan], [_HALF, _HALF])),
+    ],
+    ids=["states", "eigenvalue-floor", "unit-norm", "ensemble-weights", "ensemble-states",
+         "density-operator", "cq-ensemble"],
+)
+def test_checks_refuse_nan(check, args):
     with pytest.raises(ValueError):
-        DensityOperator(lay, np.diag([1.5, -0.5]).astype(complex))  # not PSD
+        check(*args)
 
 
 def test_basis_and_max_mixed():
